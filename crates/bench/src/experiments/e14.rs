@@ -119,8 +119,7 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
         .traffic(DemandTraffic::suite(WorkloadId::DbOltp))
         .horizon_s(scale.horizon_s)
         .seed(seed)
-        .threads(threads)
-        .engine(runner::engine());
+        .threads(threads);
     if let Some(spec) = runner::fault_campaign() {
         builder.fault_campaign(spec);
     }

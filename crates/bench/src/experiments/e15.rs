@@ -2,8 +2,8 @@
 //!
 //! Everything before E15 simulates one memory. E15 exercises the `scrubd`
 //! fleet layer end-to-end at experiment scale: a fleet of banks sharded
-//! over the worker pool, each shard running the combined mechanism on the
-//! event engine while a multi-tenant open-loop mix (an interactive web
+//! over the worker pool, each shard running the combined mechanism while
+//! a multi-tenant open-loop mix (an interactive web
 //! tenant, a write-heavy batch tenant, a cold archive tenant) drives
 //! demand at configured per-tenant rates.
 //!
@@ -19,11 +19,9 @@
 //! Full scale is the acceptance-size fleet: 10,240 banks in 16 shards.
 
 use pcm_analysis::{fmt_count, Table};
-use scrub_core::EngineKind;
 use scrub_telemetry as tel;
 use scrubd::{Fleet, FleetConfig, TenantSlo};
 
-use crate::runner;
 use crate::scale::Scale;
 
 /// Fleet sizing derived from the experiment scale: quick is the CI fleet
@@ -35,10 +33,6 @@ pub fn fleet_config(scale: &Scale) -> FleetConfig {
     } else {
         (64, 4, 1_800.0)
     };
-    let engine = match runner::engine() {
-        EngineKind::Stepped => "stepped",
-        EngineKind::Event => "event",
-    };
     format!(
         "[fleet]\n\
          banks = {banks}\n\
@@ -48,7 +42,6 @@ pub fn fleet_config(scale: &Scale) -> FleetConfig {
          horizon-s = {horizon_s}\n\
          cadence-s = {cadence}\n\
          policy = combined@900\n\
-         engine = {engine}\n\
          threads = 0\n\
          [tenants]\n\
          mix = web:rate=120,read=0.95,pattern=zipf:1.2;\

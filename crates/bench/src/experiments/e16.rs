@@ -16,11 +16,9 @@
 //! degradation.
 
 use pcm_analysis::Table;
-use scrub_core::EngineKind;
 use scrub_telemetry as tel;
 use scrubd::{ChaosSpec, Fleet, FleetConfig};
 
-use crate::runner;
 use crate::scale::Scale;
 
 /// The four scrub policies compared throughout the study.
@@ -37,10 +35,6 @@ fn fleet_config(scale: &Scale, policy: &str) -> FleetConfig {
     } else {
         (64, 4, 3_600.0)
     };
-    let engine = match runner::engine() {
-        EngineKind::Stepped => "stepped",
-        EngineKind::Event => "event",
-    };
     format!(
         "[fleet]\n\
          banks = {banks}\n\
@@ -50,7 +44,6 @@ fn fleet_config(scale: &Scale, policy: &str) -> FleetConfig {
          horizon-s = {horizon_s}\n\
          cadence-s = 300\n\
          policy = {policy}@300\n\
-         engine = {engine}\n\
          threads = 0\n\
          [tenants]\n\
          mix = web:rate=60,read=0.9,pattern=zipf:1.2;\

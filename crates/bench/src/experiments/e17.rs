@@ -193,8 +193,7 @@ fn run_one(
         .horizon_s(scale.horizon_s)
         .seed(seed)
         .threads(threads)
-        .engine(runner::engine())
-        .fault_campaign(campaign.clone());
+        .fault_campaign(*campaign);
     let config = builder.build();
     match runner::checkpoint_every_s() {
         Some(every_s) => {

@@ -35,7 +35,6 @@ fn run_one(
         .traffic(DemandTraffic::suite(WorkloadId::WebServe))
         .horizon_s(scale.horizon_s)
         .seed(seed)
-        .engine(crate::runner::engine())
         .probe_kind(probe_kind);
     if let Some(p) = wear_leveling {
         b.wear_leveling(p);

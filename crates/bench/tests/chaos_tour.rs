@@ -4,7 +4,7 @@
 //! per-bank origins — must survive a checkpoint taken at an arbitrary
 //! moment (mid-tour, mid-throttle, with a fault campaign rewriting cells
 //! underneath it) such that the resumed run is byte-identical to one
-//! that never stopped, under BOTH simulation engines. The harness kills
+//! that never stopped. The harness kills
 //! the simulation at k in-flight points, resumes from the serialized
 //! bytes alone, and re-checkpoints immediately to prove the round trip
 //! is a fixed point.
@@ -15,7 +15,7 @@
 
 use scrub_bench::experiments::e14;
 use scrub_bench::{runner, Scale};
-use scrub_core::{DemandTraffic, EngineKind, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 
 const LINES: u32 = 1024;
 const HORIZON_S: f64 = 3.0 * 3600.0;
@@ -33,7 +33,7 @@ fn tour_policy() -> PolicyKind {
     }
 }
 
-fn config(engine: EngineKind) -> SimConfig {
+fn config() -> SimConfig {
     let mut b = SimConfig::builder();
     b.num_lines(LINES)
         .code(pcm_ecc::CodeSpec::bch_line(6))
@@ -42,7 +42,6 @@ fn config(engine: EngineKind) -> SimConfig {
         .horizon_s(HORIZON_S)
         .seed(4242)
         .threads(1)
-        .engine(engine)
         .fault_campaign(
             "seed=11;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600"
                 .parse()
@@ -56,10 +55,10 @@ fn config(engine: EngineKind) -> SimConfig {
 /// the serialized bytes only. Each kill also checks the resume is a
 /// fixed point (re-checkpointing immediately reproduces the bytes).
 /// Returns the final report and whether any kill landed mid-tour.
-fn run_killed(engine: EngineKind, k: u32) -> (SimReport, bool) {
+fn run_killed(k: u32) -> (SimReport, bool) {
     let cadence_s = HORIZON_S / (k + 1) as f64;
     let mut mid_tour = false;
-    let mut sim = Simulation::new(config(engine));
+    let mut sim = Simulation::new(config());
     for i in 1..=k {
         sim.run_to(i as f64 * cadence_s);
         // Every probe advances the tour cursor by one, so a probe count
@@ -80,7 +79,7 @@ fn run_killed(engine: EngineKind, k: u32) -> (SimReport, bool) {
         let again = sim.checkpoint().expect("re-checkpoint");
         assert_eq!(
             bytes, again,
-            "resume({engine:?}, kill {i}/{k}) is not a checkpoint fixed point"
+            "resume(kill {i}/{k}) is not a checkpoint fixed point"
         );
         let cfg = sim.config().clone();
         sim = Simulation::resume(cfg, &again).expect("second resume");
@@ -91,35 +90,27 @@ fn run_killed(engine: EngineKind, k: u32) -> (SimReport, bool) {
 #[test]
 fn killed_tour_runs_are_byte_identical_to_continuous() {
     scrub_exec::set_default_threads(1);
-    let mut reports = Vec::new();
-    for engine in [EngineKind::Stepped, EngineKind::Event] {
-        let continuous = Simulation::new(config(engine)).run();
-        assert!(
-            continuous.engine.idle_slots > 0,
-            "budget never throttled — the chaos run is not exercising \
-             bucket state: {:?}",
-            continuous.engine
+    let continuous = Simulation::new(config()).run();
+    assert!(
+        continuous.engine.idle_slots > 0,
+        "budget never throttled — the chaos run is not exercising \
+         bucket state: {:?}",
+        continuous.engine
+    );
+    let mut any_mid_tour = false;
+    for k in 1..=3 {
+        let (killed, mid_tour) = run_killed(k);
+        any_mid_tour |= mid_tour;
+        assert_eq!(
+            killed, continuous,
+            "{k} kill(s) diverged from the continuous run"
         );
-        let mut any_mid_tour = false;
-        for k in 1..=3 {
-            let (killed, mid_tour) = run_killed(engine, k);
-            any_mid_tour |= mid_tour;
-            assert_eq!(
-                killed, continuous,
-                "{engine:?} with {k} kill(s) diverged from the continuous run"
-            );
-            assert_eq!(killed.csv_row(), continuous.csv_row());
-        }
-        assert!(
-            any_mid_tour,
-            "{engine:?}: no kill ever landed mid-tour; the campaign \
-             proves nothing about tour-state serialization"
-        );
-        reports.push(continuous);
+        assert_eq!(killed.csv_row(), continuous.csv_row());
     }
-    assert_eq!(
-        reports[0], reports[1],
-        "stepped and event engines disagree on the budgeted tour"
+    assert!(
+        any_mid_tour,
+        "no kill ever landed mid-tour; the campaign proves nothing about \
+         tour-state serialization"
     );
 }
 

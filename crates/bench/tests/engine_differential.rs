@@ -1,15 +1,14 @@
-//! The stepped-vs-event differential harness: both simulation cores must
-//! be observationally identical. For every scrub mechanism, under an
-//! active fault campaign and demand traffic, the event engine's report,
-//! CSV row, telemetry counters, and sim-event multiset must match the
-//! stepped engine's exactly — continuous, split at k checkpoints, and
-//! resumed *across* engines (a snapshot taken under one core finished
-//! under the other).
+//! The fast-path differential harness: [`Simulation::run`] (idle
+//! skip-ahead plus bank-parallel batched sweeps) must be observationally
+//! identical to the slot-at-a-time reference [`Simulation::run_unbatched`].
+//! For every scrub mechanism, under an active fault campaign and demand
+//! traffic, the fast path's report, CSV row, telemetry counters, and
+//! sim-event journal must match the reference exactly — continuous, and
+//! split at k checkpoints with a serialize/resume round-trip at each.
 //!
-//! Campaign boundary markers are emitted at end-of-segment by the stepped
-//! core and at heap-pop time by the event core, so the journal *order*
-//! differs while the (time, payload) multiset is identical — comparisons
-//! here sort events and ignore sequence numbers.
+//! Both paths emit campaign boundary markers at segment end, so journals
+//! are compared in order; only sequence numbers and worker ids (scheduling
+//! artifacts) are ignored.
 //!
 //! The telemetry recorder is process-global, so everything lives in ONE
 //! test function — this file being its own integration-test binary
@@ -17,8 +16,7 @@
 
 use scrub_bench::experiments::e13;
 use scrub_core::{
-    set_skewed_fast_forward_for_test, DemandTraffic, EngineKind, PolicyKind, SimConfig, SimReport,
-    Simulation,
+    set_skewed_fast_forward_for_test, DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation,
 };
 use scrub_telemetry as tel;
 
@@ -26,7 +24,7 @@ use scrub_telemetry as tel;
 /// slots), a campaign with SEU-window, intermittent-period, and burst
 /// boundaries (the burst lands exactly on the k=1 checkpoint boundary to
 /// pin the half-open segment semantics), and the repair hierarchy.
-fn config(policy: &PolicyKind, engine: EngineKind) -> SimConfig {
+fn config(policy: &PolicyKind) -> SimConfig {
     let mut b = SimConfig::builder();
     b.num_lines(1024)
         .code(pcm_ecc::CodeSpec::bch_line(6))
@@ -35,7 +33,6 @@ fn config(policy: &PolicyKind, engine: EngineKind) -> SimConfig {
         .horizon_s(3.0 * 3600.0)
         .seed(77)
         .threads(1)
-        .engine(engine)
         .fault_campaign(
             "seed=7;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600;\
              intermittent=lines:4,cells:2,period:600;burst=lines:2,bits:5,at:5400"
@@ -47,23 +44,20 @@ fn config(policy: &PolicyKind, engine: EngineKind) -> SimConfig {
     b.build()
 }
 
-/// Order-independent event fingerprint: (time bits, payload), sorted.
-/// Sequence numbers and worker ids are scheduling artifacts, not results.
-fn event_multiset(docs: &[tel::Document]) -> Vec<(u64, String)> {
-    let mut v: Vec<(u64, String)> = docs
-        .iter()
+/// The journal in order as (time bits, payload). Sequence numbers and
+/// worker ids are scheduling artifacts, not results.
+fn journal(docs: &[tel::Document]) -> Vec<(u64, String)> {
+    docs.iter()
         .flat_map(|d| d.events.iter())
         .map(|e| (e.t_s.to_bits(), format!("{:?}", e.kind)))
-        .collect();
-    v.sort();
-    v
+        .collect()
 }
 
-/// Runs one simulation under `engine`, split at `k` evenly spaced
+/// Runs one simulation on the fast path, split at `k` evenly spaced
 /// checkpoints with a full serialize/deserialize round-trip at each.
 /// Returns the final report and the per-segment telemetry documents.
-fn run_split(policy: &PolicyKind, engine: EngineKind, k: u32) -> (SimReport, Vec<tel::Document>) {
-    let cfg = config(policy, engine);
+fn run_split(policy: &PolicyKind, k: u32) -> (SimReport, Vec<tel::Document>) {
+    let cfg = config(policy);
     let cadence_s = cfg.horizon_s / (k + 1) as f64;
     let mut docs = Vec::new();
     tel::reset();
@@ -82,84 +76,71 @@ fn run_split(policy: &PolicyKind, engine: EngineKind, k: u32) -> (SimReport, Vec
 }
 
 #[test]
-fn event_engine_is_observationally_identical_to_stepped() {
+fn fast_path_is_observationally_identical_to_unbatched_reference() {
     scrub_exec::set_default_threads(1);
     tel::install(tel::Config {
         journal_capacity: 4096,
         event_mask: tel::EventClass::Sim.bit(),
     });
 
-    let mut total_idle_skipped = 0u64;
-    for (label, policy) in e13::roster() {
-        // Continuous runs under both cores.
-        tel::reset();
-        let stepped = Simulation::new(config(&policy, EngineKind::Stepped)).run();
-        let stepped_doc = tel::snapshot();
-        tel::reset();
-        let event = Simulation::new(config(&policy, EngineKind::Event)).run();
-        let event_doc = tel::snapshot();
+    let mut roster = e13::roster();
+    roster.push((
+        "adaptive",
+        PolicyKind::Adaptive {
+            interval_s: 900.0,
+            theta: 4,
+            regions: 16,
+        },
+    ));
+    roster.push(("profiled", PolicyKind::profiled_default(900.0)));
 
-        assert_eq!(event, stepped, "{label}: report diverged across engines");
+    let mut total_idle_skipped = 0u64;
+    for (label, policy) in roster {
+        tel::reset();
+        let reference = Simulation::new(config(&policy)).run_unbatched();
+        let reference_doc = tel::snapshot();
+        tel::reset();
+        let fast = Simulation::new(config(&policy)).run();
+        let fast_doc = tel::snapshot();
+
+        assert_eq!(fast, reference, "{label}: report diverged from reference");
         assert_eq!(
-            event.csv_row(),
-            stepped.csv_row(),
-            "{label}: CSV row diverged across engines"
+            fast.csv_row(),
+            reference.csv_row(),
+            "{label}: CSV row diverged from reference"
         );
         assert_eq!(
-            event_doc.counters, stepped_doc.counters,
-            "{label}: telemetry counters diverged across engines"
+            fast_doc.counters, reference_doc.counters,
+            "{label}: telemetry counters diverged from reference"
         );
         assert_eq!(
-            event_multiset(std::slice::from_ref(&event_doc)),
-            event_multiset(std::slice::from_ref(&stepped_doc)),
-            "{label}: sim-event multiset diverged across engines"
+            journal(std::slice::from_ref(&fast_doc)),
+            journal(std::slice::from_ref(&reference_doc)),
+            "{label}: sim-event journal diverged from reference"
         );
         assert!(
-            event_doc.counters.get("campaign_boundaries").copied() > Some(0),
+            fast_doc.counters.get("campaign_boundaries").copied() > Some(0),
             "{label}: no campaign boundaries crossed; the harness is not \
              exercising marker emission"
         );
-        total_idle_skipped += event_doc
+        total_idle_skipped += fast_doc
             .counters
             .get("engine_idle_slots")
             .copied()
             .unwrap_or(0);
 
-        // Split runs under the event core must land on the same stepped
-        // report, and their merged telemetry on the same multiset.
+        // Split runs must land on the same report, and their per-segment
+        // journals, concatenated, on the same journal.
         for k in 1..=2u32 {
-            let (report, docs) = run_split(&policy, EngineKind::Event, k);
+            let (report, docs) = run_split(&policy, k);
             assert_eq!(
-                report, stepped,
-                "{label}: event-engine split run diverged at k={k}"
+                report, reference,
+                "{label}: split run diverged from reference at k={k}"
             );
             assert_eq!(
-                event_multiset(&docs),
-                event_multiset(std::slice::from_ref(&stepped_doc)),
-                "{label}: split-run event multiset diverged at k={k}"
-            );
-        }
-
-        // Cross-engine resume: a snapshot is engine-agnostic, so a run
-        // checkpointed under one core and finished under the other must
-        // still match — in both directions.
-        for (from, to) in [
-            (EngineKind::Stepped, EngineKind::Event),
-            (EngineKind::Event, EngineKind::Stepped),
-        ] {
-            tel::reset();
-            let mut sim = Simulation::new(config(&policy, from));
-            sim.run_to(5400.0);
-            let bytes = sim.checkpoint().expect("checkpoint");
-            let mut cfg = sim.config().clone();
-            cfg.engine = to;
-            let report = Simulation::resume(cfg, &bytes).expect("resume").finish();
-            assert_eq!(
-                report,
-                stepped,
-                "{label}: {}-to-{} cross-engine resume diverged",
-                from.label(),
-                to.label()
+                journal(&docs),
+                journal(std::slice::from_ref(&reference_doc)),
+                "{label}: split-run journal diverged at k={k}"
             );
         }
     }
@@ -174,17 +155,17 @@ fn event_engine_is_observationally_identical_to_stepped() {
     // diverging report for a mechanism that uses idle_until.
     tel::set_enabled(false);
     let policy = PolicyKind::combined_default(900.0);
-    let stepped = Simulation::new(config(&policy, EngineKind::Stepped)).run();
+    let reference = Simulation::new(config(&policy)).run_unbatched();
     set_skewed_fast_forward_for_test(true);
-    let skewed = Simulation::new(config(&policy, EngineKind::Event)).run();
+    let skewed = Simulation::new(config(&policy)).run();
     set_skewed_fast_forward_for_test(false);
     assert_ne!(
-        skewed, stepped,
-        "a skewed fast-forward still matched the stepped engine — the \
+        skewed, reference,
+        "a skewed fast-forward still matched the reference — the \
          differential harness cannot detect an incorrect skip-ahead"
     );
-    // And with the skew cleared the event core matches again, pinning the
+    // And with the skew cleared the fast path matches again, pinning the
     // divergence on the skew rather than on ambient state.
-    let event = Simulation::new(config(&policy, EngineKind::Event)).run();
-    assert_eq!(event, stepped, "event engine diverged after skew cleared");
+    let fast = Simulation::new(config(&policy)).run();
+    assert_eq!(fast, reference, "fast path diverged after skew cleared");
 }

@@ -97,6 +97,10 @@ impl ScrubPolicy for AgeAwareScrub {
 
     fn on_demand_write(&mut self, _addr: LineAddr, _now: SimTime) {}
 
+    fn can_batch(&self) -> bool {
+        true
+    }
+
     fn plan_batch(&mut self, slots: u64) -> Option<BatchPlan> {
         Some(BatchPlan {
             first: self.cursor.advance_by(slots, self.num_lines),

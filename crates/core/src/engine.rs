@@ -180,7 +180,7 @@ impl ScrubEngine {
         threads: usize,
     ) -> bool {
         let now = self.next_slot();
-        if now > horizon || demand_due.is_some_and(|d| now >= d) {
+        if !self.policy.can_batch() || now > horizon || demand_due.is_some_and(|d| now >= d) {
             return false;
         }
         // Batchable policies have a constant, context-independent gap
@@ -243,9 +243,9 @@ impl ScrubEngine {
     /// Returns the number of slots skipped.
     ///
     /// Capping at `stop` keeps the post-segment `next_slot_tick` — and
-    /// therefore checkpoint bytes — identical to stepped execution,
-    /// which never advances the slot clock past the first slot beyond a
-    /// segment boundary.
+    /// therefore checkpoint bytes — identical to slot-at-a-time
+    /// execution, which never advances the slot clock past the first slot
+    /// beyond a segment boundary.
     pub fn skip_idle_slots_before(&mut self, due: SimTime, stop: SimTime, mem: &Memory) -> u64 {
         let now = self.next_slot();
         let gap = {

@@ -1,113 +1,26 @@
-//! Priority-queue event engine: typed events dispatched in timestamp
-//! order from a binary heap.
+//! Campaign boundary markers, the idle fast-forward tripwire, and the
+//! retired engine selector.
 //!
-//! The stepped loop ([`crate::Simulation`]'s original core) interleaves
-//! exactly two streams — demand ops and scrub slots — with a hard-coded
-//! two-way comparison. The event engine generalizes the dispatch to a
-//! [`std::collections::BinaryHeap`] of typed events ([`EvKind`]): next
-//! demand op, next scrub slot, fault-campaign boundaries, and the
-//! horizon/stop end marker. That buys two things:
-//!
-//! * **Idle skip-ahead**: when a region-scheduled policy reports (via
-//!   [`crate::ScrubPolicy::idle_until`]) that every slot before time `t`
-//!   is a no-op idle, the scrub event re-schedules itself directly at
-//!   `t` — `O(1)` in the number of skipped slots — instead of stepping
-//!   the cadence grid through each one. Per-line error state already
-//!   fast-forwards analytically (closed-form drift CDF jumps in the
-//!   fault engine), so skipping the slots loses nothing.
-//! * **Extensible taxonomy**: fault-campaign boundaries (SEU window
-//!   closing, bursts firing, intermittent periods) become first-class
-//!   events with telemetry markers, instead of being invisible inside
-//!   the per-op injector math.
-//!
-//! Equivalence with the stepped engine is a hard contract, enforced by
-//! the differential harness (`crates/bench/tests/engine_differential.rs`):
-//! both engines walk the same tick grid, consult the policy at the same
-//! slots, and draw the same RNG streams in the same order, so reports,
-//! telemetry counters, and checkpoint bytes are identical. The heap is
-//! rebuilt from scratch on every `advance` segment (it never holds more
-//! than a handful of entries), so no queue state needs checkpointing.
+//! The simulation has one core ([`crate::Simulation`]'s two-way
+//! demand/scrub merge with idle skip-ahead). Fault-campaign boundaries
+//! (SEU window closing, bursts firing, intermittent periods) are emitted
+//! as telemetry markers at the end of each advance segment; they are a
+//! pure function of the spec and the segment window, so no marker state
+//! needs checkpointing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pcm_memsim::{CampaignSpec, SimTime};
 
-/// Which simulation core executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Former simulation-core selector. There is one core now, so every
+/// value behaves identically; kept only so existing callers still build.
+#[deprecated(note = "there is one simulation core; the selector is ignored")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The original cadence-grid loop: two-way demand/scrub merge.
-    #[default]
+    /// Formerly the cadence-grid loop.
     Stepped,
-    /// Priority-queue event dispatch with idle skip-ahead.
+    /// Formerly the priority-queue core.
     Event,
-}
-
-impl EngineKind {
-    /// Stable lower-case label (bench records, CLI).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Stepped => "stepped",
-            EngineKind::Event => "event",
-        }
-    }
-
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stepped" => Some(EngineKind::Stepped),
-            "event" => Some(EngineKind::Event),
-            _ => None,
-        }
-    }
-}
-
-/// Event types, in tie-break order: at equal timestamps a demand op
-/// executes before a scrub slot (the stepped loop's `d <= s` rule),
-/// campaign markers after both, and the end marker last — so events
-/// landing exactly on the stop boundary still execute in this segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EvKind {
-    /// The pending demand op is due.
-    Demand = 0,
-    /// The engine's next scrub slot is due.
-    Scrub = 1,
-    /// A fault-campaign boundary is crossed (telemetry marker).
-    Campaign = 2,
-    /// The advance segment's stop time (horizon or `run_to` boundary).
-    HorizonEnd = 3,
-}
-
-/// A scheduled event. Payloads stay in the simulation (`pending` op,
-/// engine slot state); the heap only orders (time, kind).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Ev {
-    pub at: SimTime,
-    pub kind: EvKind,
-    /// Campaign boundary label ("" for other kinds).
-    pub label: &'static str,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at.secs() == other.at.secs() && self.kind == other.kind
-    }
-}
-
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .secs()
-            .total_cmp(&other.at.secs())
-            .then(self.kind.cmp(&other.kind))
-    }
 }
 
 /// Recurring intermittent-fault boundaries are capped at this many
@@ -116,9 +29,9 @@ impl Ord for Ev {
 const MAX_INTERMITTENT_MARKERS: usize = 1024;
 
 /// The fault-campaign boundaries crossed in the half-open window
-/// `(after, upto]`, in time order. A pure function of the spec, so the
-/// stepped and event engines emit identical marker sets for identical
-/// segmentations — no queue state to checkpoint.
+/// `(after, upto]`, in time order. A pure function of the spec, so any
+/// segmentation of a run emits the same markers in the same order — no
+/// marker state to checkpoint.
 pub(crate) fn campaign_boundaries(
     spec: &CampaignSpec,
     after: SimTime,
@@ -176,48 +89,6 @@ pub(crate) fn skew_fast_forward() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    fn ev(at: f64, kind: EvKind) -> Ev {
-        Ev {
-            at: SimTime::from_secs(at),
-            kind,
-            label: "",
-        }
-    }
-
-    #[test]
-    fn heap_orders_by_time_then_kind() {
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(ev(5.0, EvKind::HorizonEnd)));
-        heap.push(Reverse(ev(5.0, EvKind::Scrub)));
-        heap.push(Reverse(ev(5.0, EvKind::Demand)));
-        heap.push(Reverse(ev(1.0, EvKind::Scrub)));
-        heap.push(Reverse(ev(5.0, EvKind::Campaign)));
-        let order: Vec<(f64, EvKind)> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(e)| (e.at.secs(), e.kind))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (1.0, EvKind::Scrub),
-                (5.0, EvKind::Demand),
-                (5.0, EvKind::Scrub),
-                (5.0, EvKind::Campaign),
-                (5.0, EvKind::HorizonEnd),
-            ]
-        );
-    }
-
-    #[test]
-    fn engine_kind_round_trips_labels() {
-        for kind in [EngineKind::Stepped, EngineKind::Event] {
-            assert_eq!(EngineKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(EngineKind::parse("fancy"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Stepped);
-    }
 
     #[test]
     fn boundaries_cover_half_open_window() {

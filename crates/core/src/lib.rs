@@ -60,7 +60,9 @@ pub use checkpoint::{run_split, SplitRunOutcome};
 pub use combined::CombinedScrub;
 pub use config::PolicyKind;
 pub use engine::{EngineStats, ScrubEngine};
-pub use event::{set_skewed_fast_forward_for_test, EngineKind};
+pub use event::set_skewed_fast_forward_for_test;
+#[allow(deprecated)]
+pub use event::EngineKind;
 pub use policy::{BatchPlan, ScrubAction, ScrubContext, ScrubPolicy, SweepCursor};
 pub use profiled::{ProfileParams, ProfiledScrub};
 pub use report::SimReport;

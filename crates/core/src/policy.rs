@@ -90,11 +90,19 @@ pub trait ScrubPolicy: fmt::Debug + Send {
         None
     }
 
+    /// Whether [`ScrubPolicy::plan_batch`] ever returns a plan. Lets the
+    /// engine skip sizing a batch — up to 64 Ki slot times — that the
+    /// policy would refuse on every slot. Must be `true` for any policy
+    /// that overrides `plan_batch`.
+    fn can_batch(&self) -> bool {
+        false
+    }
+
     /// Reports how many slots of the last planned batch were spent idle
     /// (age-skipped), for policies that track skip counters.
     fn on_batch_idle(&mut self, _skipped: u64) {}
 
-    /// Idle fast-forward bound for the event engine: `Some(t)` promises
+    /// Idle fast-forward bound for the simulation loop: `Some(t)` promises
     /// that every slot strictly before `t` would return
     /// [`ScrubAction::Idle`] from [`ScrubPolicy::next_action`] *without
     /// mutating any policy state*, regardless of interleaved demand

@@ -410,7 +410,7 @@ impl ScrubPolicy for ProfiledScrub {
         }
         // A grant is available. Hot interleave first: every
         // `hot_stride`-th granted probe goes to a profiled hot line.
-        if (self.granted + 1) % u64::from(self.params.hot_stride) == 0 {
+        if (self.granted + 1).is_multiple_of(u64::from(self.params.hot_stride)) {
             if let Some(addr) = self.next_hot() {
                 self.granted += 1;
                 self.hot_probes += 1;

@@ -12,7 +12,8 @@ use scrub_telemetry as tel;
 
 use crate::config::PolicyKind;
 use crate::engine::ScrubEngine;
-use crate::event::{self, EngineKind, Ev, EvKind};
+#[allow(deprecated)]
+use crate::event::{self, EngineKind};
 use crate::report::SimReport;
 
 /// Demand-traffic selection for a run.
@@ -137,11 +138,6 @@ pub struct SimConfig {
     /// Shifted-threshold retry on failed ECC decodes, or `None` to
     /// declare UEs on the first failed decode.
     pub ue_recovery: Option<RecoveryConfig>,
-    /// Which simulation core executes the run (stepped cadence loop or
-    /// priority-queue event engine). Like `threads`, this shapes
-    /// execution, never results: both engines produce byte-identical
-    /// reports, telemetry counters, and checkpoints.
-    pub engine: EngineKind,
 }
 
 impl SimConfig {
@@ -171,7 +167,6 @@ pub struct SimConfigBuilder {
     fault_campaign: Option<CampaignSpec>,
     repair: Option<RepairConfig>,
     ue_recovery: Option<RecoveryConfig>,
-    engine: EngineKind,
 }
 
 impl Default for SimConfigBuilder {
@@ -192,7 +187,6 @@ impl Default for SimConfigBuilder {
             fault_campaign: None,
             repair: None,
             ue_recovery: None,
-            engine: EngineKind::Stepped,
         }
     }
 }
@@ -289,10 +283,11 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the simulation core (stepped loop vs. event engine).
-    /// Results are bit-identical either way.
-    pub fn engine(&mut self, kind: EngineKind) -> &mut Self {
-        self.engine = kind;
+    /// No-op: there is one simulation core. Kept so existing callers
+    /// still build.
+    #[deprecated(note = "there is one simulation core; the selector is ignored")]
+    #[allow(deprecated)]
+    pub fn engine(&mut self, _kind: EngineKind) -> &mut Self {
         self
     }
 
@@ -328,7 +323,6 @@ impl SimConfigBuilder {
             fault_campaign: self.fault_campaign,
             repair: self.repair,
             ue_recovery: self.ue_recovery,
-            engine: self.engine,
         }
     }
 }
@@ -416,9 +410,10 @@ impl Simulation {
     ///
     /// The event loop merges the demand-trace stream with scrub slots in
     /// timestamp order, so policies see a realistic interleaving of
-    /// drift-clock resets and probes. Runs of scrub slots with no demand
-    /// op in between are executed as bank-parallel batches (on
-    /// `config.threads` workers) when the policy supports batch planning —
+    /// drift-clock resets and probes. Idle stretches the policy can bound
+    /// are skipped in O(1), and runs of scrub slots with no demand op in
+    /// between are executed as bank-parallel batches (on `config.threads`
+    /// workers) when the policy supports batch planning — both
     /// bit-identical to the slot-at-a-time path.
     pub fn run(mut self) -> SimReport {
         let horizon = SimTime::from_secs(self.config.horizon_s);
@@ -426,10 +421,10 @@ impl Simulation {
         self.into_report()
     }
 
-    /// Runs with batching disabled: every scrub slot goes through the
-    /// sequential [`ScrubEngine::step`] path. Exists to *prove* the batch
-    /// path changes nothing — reports from `run` and `run_unbatched` must
-    /// be identical — and as a reference for debugging.
+    /// Runs with batching and idle skip-ahead disabled: every scrub slot
+    /// goes through the sequential [`ScrubEngine::step`] path. The
+    /// reference the fast paths are proven against — reports from `run`
+    /// and `run_unbatched` must be identical — and a debugging aid.
     pub fn run_unbatched(mut self) -> SimReport {
         let horizon = SimTime::from_secs(self.config.horizon_s);
         self.advance_to(horizon, false);
@@ -576,10 +571,10 @@ impl Simulation {
     /// snapshotted.
     ///
     /// The config must describe the *same run* as the one checkpointed:
-    /// a fingerprint (seed, geometry, horizon, policy, code, traffic,
-    /// campaign, repair knobs — everything except `threads`, which only
-    /// shapes execution, never results) is embedded in the snapshot and
-    /// verified. Custom trace sources installed via
+    /// a fingerprint (seed, geometry, horizon, device, policy, code,
+    /// traffic, campaign, repair knobs — everything except `threads`,
+    /// which only shapes execution, never results) is embedded in the
+    /// snapshot and verified. Custom trace sources installed via
     /// [`Simulation::with_trace`] cannot be rebuilt from config alone and
     /// are rejected at checkpoint time, not here.
     ///
@@ -595,7 +590,7 @@ impl Simulation {
         if stored_fp != fingerprint(&config).as_slice() {
             return Err(CheckpointError::Malformed(
                 "config fingerprint mismatch: snapshot was taken under a different \
-                 seed/geometry/policy/code/traffic/campaign configuration"
+                 seed/geometry/device/policy/code/traffic/campaign configuration"
                     .to_string(),
             ));
         }
@@ -707,49 +702,22 @@ impl Simulation {
         };
     }
 
-    /// Advances the event loop through every event with time at most
-    /// `stop`, on whichever core the config selects. Both cores execute
-    /// the same events in the same order and leave byte-identical state
-    /// (see `crates/bench/tests/engine_differential.rs`).
+    /// The event loop: merges the demand-trace stream with scrub slots in
+    /// timestamp order (demand wins ties), executing every event with time
+    /// at most `stop`.
+    ///
+    /// A scrub slot first asks the policy for an idle bound
+    /// ([`crate::ScrubPolicy::idle_until`]) and jumps the slot clock
+    /// straight past every slot before it — O(1) however many slots are
+    /// skipped; per-line drift fast-forwards analytically on next touch,
+    /// so nothing is lost. Otherwise the run of slots before the next
+    /// demand op executes as one bank-parallel batch when the policy can
+    /// plan it, else one slot at a time.
+    ///
+    /// `batched = false` disables both shortcuts, sending every slot
+    /// through [`ScrubEngine::step`]: the reference path
+    /// [`Simulation::run_unbatched`] that both must match bit for bit.
     fn advance_to(&mut self, stop: SimTime, batched: bool) {
-        match self.config.engine {
-            EngineKind::Stepped => {
-                self.advance_to_stepped(stop, batched);
-                // The event engine dispatches campaign boundaries through
-                // its queue; the stepped loop emits the same marker set
-                // here so both engines' telemetry reconciles exactly.
-                self.emit_campaign_markers(stop);
-            }
-            EngineKind::Event => self.advance_to_event(stop, batched),
-        }
-        if stop > self.clock {
-            self.clock = stop;
-        }
-    }
-
-    /// Telemetry markers for fault-campaign boundaries crossed in
-    /// `(clock, stop]`. Derived purely from config and segmentation, so
-    /// both engines emit identical marker sets and nothing needs
-    /// checkpointing.
-    fn emit_campaign_markers(&mut self, stop: SimTime) {
-        if !tel::enabled() {
-            return;
-        }
-        let Some(spec) = &self.config.fault_campaign else {
-            return;
-        };
-        for (t, label) in event::campaign_boundaries(spec, self.clock, stop) {
-            tel::counter_add(tel::Counter::CampaignBoundaries, 1);
-            tel::event(
-                t,
-                tel::EventKind::CampaignBoundary {
-                    label: label.to_string(),
-                },
-            );
-        }
-    }
-
-    fn advance_to_stepped(&mut self, stop: SimTime, batched: bool) {
         self.start();
         loop {
             let demand_due = self.pending.map(|op| op.at);
@@ -771,19 +739,56 @@ impl Simulation {
                 self.exec_demand_op(op);
             } else {
                 let engine = self.engine.as_mut().expect("scrub slot present");
-                if engine.next_slot() > stop {
+                let now = engine.next_slot();
+                if now > stop {
                     break;
                 }
-                let threads = self.config.threads.max(1);
-                if !(batched && engine.step_batch(&mut self.memory, stop, demand_due, threads)) {
-                    engine.step(&mut self.memory);
+                if batched {
+                    let skipped = match engine.policy().idle_until(now) {
+                        Some(due) if due > now => {
+                            engine.skip_idle_slots_before(due, stop, &self.memory)
+                        }
+                        _ => 0,
+                    };
+                    if skipped > 0 {
+                        continue;
+                    }
+                    let threads = self.config.threads.max(1);
+                    if engine.step_batch(&mut self.memory, stop, demand_due, threads) {
+                        continue;
+                    }
                 }
+                engine.step(&mut self.memory);
             }
+        }
+        self.emit_campaign_markers(stop);
+        if stop > self.clock {
+            self.clock = stop;
         }
     }
 
-    /// Executes one demand op and draws the next from the trace — the
-    /// single demand path shared by both engines.
+    /// Telemetry markers for fault-campaign boundaries crossed in
+    /// `(clock, stop]`, emitted at segment end. Derived purely from config
+    /// and segmentation, so nothing needs checkpointing.
+    fn emit_campaign_markers(&mut self, stop: SimTime) {
+        if !tel::enabled() {
+            return;
+        }
+        let Some(spec) = &self.config.fault_campaign else {
+            return;
+        };
+        for (t, label) in event::campaign_boundaries(spec, self.clock, stop) {
+            tel::counter_add(tel::Counter::CampaignBoundaries, 1);
+            tel::event(
+                t,
+                tel::EventKind::CampaignBoundary {
+                    label: label.to_string(),
+                },
+            );
+        }
+    }
+
+    /// Executes one demand op and draws the next from the trace.
     fn exec_demand_op(&mut self, op: MemOp) {
         match op.kind {
             OpKind::Read => {
@@ -807,99 +812,6 @@ impl Simulation {
             }
         }
         self.pending = self.trace.as_mut().and_then(|t| t.next_op());
-    }
-
-    /// The priority-queue core: typed events ([`EvKind`]) dispatched from
-    /// a binary heap in (time, kind) order, with O(1) idle fast-forward
-    /// when the policy can bound its next due slot
-    /// ([`crate::ScrubPolicy::idle_until`]).
-    ///
-    /// Event payloads live in the simulation (`pending`, the engine's
-    /// slot clock); the heap holds exactly one live entry per stream plus
-    /// the campaign boundaries for this segment, and is rebuilt on every
-    /// call — so checkpoints carry no queue state and remain
-    /// byte-identical to stepped-engine checkpoints.
-    fn advance_to_event(&mut self, stop: SimTime, batched: bool) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        self.start();
-        let _phase = tel::phase("engine.event_loop");
-        let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::with_capacity(8);
-        let push = |heap: &mut BinaryHeap<Reverse<Ev>>, at: SimTime, kind: EvKind| {
-            heap.push(Reverse(Ev {
-                at,
-                kind,
-                label: "",
-            }));
-        };
-        push(&mut heap, stop, EvKind::HorizonEnd);
-        if let Some(op) = self.pending {
-            push(&mut heap, op.at, EvKind::Demand);
-        }
-        if let Some(e) = &self.engine {
-            push(&mut heap, e.next_slot(), EvKind::Scrub);
-        }
-        if tel::enabled() {
-            if let Some(spec) = &self.config.fault_campaign {
-                for (t, label) in event::campaign_boundaries(spec, self.clock, stop) {
-                    heap.push(Reverse(Ev {
-                        at: SimTime::from_secs(t),
-                        kind: EvKind::Campaign,
-                        label,
-                    }));
-                }
-            }
-        }
-        while let Some(Reverse(ev)) = heap.pop() {
-            match ev.kind {
-                EvKind::HorizonEnd => break,
-                EvKind::Demand => {
-                    let op = self.pending.expect("demand event implies pending op");
-                    debug_assert_eq!(op.at.secs(), ev.at.secs());
-                    self.exec_demand_op(op);
-                    if let Some(next) = self.pending {
-                        push(&mut heap, next.at, EvKind::Demand);
-                    }
-                }
-                EvKind::Scrub => {
-                    let demand_due = self.pending.map(|op| op.at);
-                    let engine = self.engine.as_mut().expect("scrub event implies engine");
-                    let now = engine.next_slot();
-                    debug_assert_eq!(now.secs(), ev.at.secs());
-                    // Idle fast-forward: between region passes, jump the
-                    // slot clock straight to the next due time instead of
-                    // idling through the cadence grid. Per-line error
-                    // state needs no walking either way — drift
-                    // fast-forwards analytically on next touch.
-                    let skipped = match engine.policy().idle_until(now) {
-                        Some(due) if due > now => {
-                            engine.skip_idle_slots_before(due, stop, &self.memory)
-                        }
-                        _ => 0,
-                    };
-                    if skipped == 0 {
-                        let threads = self.config.threads.max(1);
-                        if !(batched
-                            && engine.step_batch(&mut self.memory, stop, demand_due, threads))
-                        {
-                            engine.step(&mut self.memory);
-                        }
-                    }
-                    let next = self.engine.as_ref().expect("still present").next_slot();
-                    push(&mut heap, next, EvKind::Scrub);
-                }
-                EvKind::Campaign => {
-                    tel::counter_add(tel::Counter::CampaignBoundaries, 1);
-                    tel::event(
-                        ev.at.secs(),
-                        tel::EventKind::CampaignBoundary {
-                            label: ev.label.to_string(),
-                        },
-                    );
-                }
-            }
-        }
     }
 
     /// Consumes the simulation and produces the final report (plus the
@@ -966,6 +878,9 @@ fn fingerprint(config: &SimConfig) -> Vec<u8> {
     w.put_u32(config.geometry.num_lines());
     w.put_u32(config.geometry.banks());
     w.put_f64(config.horizon_s);
+    // Device physics as a fixed-width digest of its `Debug` form (f64s
+    // print round-trip exact), so snapshot size stays flat.
+    w.put_u32(pcm_ecc::Crc32::new().checksum_bytes(format!("{:?}", config.device).as_bytes()));
     w.put_str(&config.policy.label());
     w.put_str(config.code.name());
     w.put_str(&config.traffic.label());
@@ -1071,10 +986,12 @@ mod tests {
     }
 
     /// The execution-layer contract at full-simulation granularity: for
-    /// every batchable policy, under both idle and demand-interleaved
-    /// traffic, the unbatched path, the batched single-thread path, and
-    /// the batched 8-thread path produce identical reports — every
-    /// counter, every energy total, every f64, bit for bit.
+    /// every batchable policy and every policy with an idle bound
+    /// (combined, adaptive), plus the profiled policy, under both idle
+    /// and demand-interleaved traffic, the slot-at-a-time reference path,
+    /// the fast single-thread path, and the fast 8-thread path produce
+    /// identical reports — every counter, every energy total, every f64,
+    /// bit for bit.
     #[test]
     fn batched_and_parallel_runs_are_bit_identical() {
         let policies = [
@@ -1088,6 +1005,13 @@ mod tests {
                 theta: 4,
                 min_age_s: 600.0,
             },
+            PolicyKind::combined_default(1200.0),
+            PolicyKind::Adaptive {
+                interval_s: 1200.0,
+                theta: 4,
+                regions: 16,
+            },
+            PolicyKind::profiled_default(1200.0),
         ];
         let traffics = [
             DemandTraffic::Idle,
@@ -1113,6 +1037,32 @@ mod tests {
                 assert_eq!(serial, parallel, "{policy:?}/{traffic:?}");
                 assert!(serial.stats.scrub_probes > 0);
             }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_snapshot_taken_under_different_device_physics() {
+        let nominal = quick_config(
+            PolicyKind::Basic { interval_s: 900.0 },
+            CodeSpec::bch_line(6),
+        );
+        let mut sim = Simulation::new(nominal.clone());
+        sim.run_to(1800.0);
+        let snap = sim.checkpoint().expect("checkpoint");
+        assert!(Simulation::resume(nominal.clone(), &snap).is_ok());
+        let mut drifty = nominal;
+        drifty.device = DeviceConfig::builder()
+            .drift(pcm_model::DriftParams {
+                nu_scale: 2.0,
+                ..pcm_model::DriftParams::default()
+            })
+            .build();
+        match Simulation::resume(drifty, &snap) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("fingerprint"), "{msg}"),
+            other => panic!(
+                "resume under different device physics: {:?}",
+                other.map(|_| ())
+            ),
         }
     }
 

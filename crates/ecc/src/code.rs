@@ -185,7 +185,10 @@ impl CodeSpec {
         const SYMBOL_BITS: u32 = 8;
         assert!(k >= 1 && n > k, "RS needs 1 <= k < n, got ({n},{k})");
         assert!(n <= 255, "RS over GF(2^8) needs n <= 255, got {n}");
-        assert!((n - k) % 2 == 0, "RS parity n - k must be even: ({n},{k})");
+        assert!(
+            (n - k).is_multiple_of(2),
+            "RS parity n - k must be even: ({n},{k})"
+        );
         assert_eq!(
             k * SYMBOL_BITS,
             LINE_DATA_BITS,
@@ -344,15 +347,13 @@ impl CodeSpec {
                 // Spread the random errors over the remaining positions,
                 // tracking only whether each lands in a fresh symbol —
                 // P(fresh) = free-positions-in-untouched-symbols / free.
-                let mut chosen = b;
                 let extra = random.min(total_bits - b);
-                for _ in 0..extra {
+                for chosen in b..b + extra {
                     let free = total_bits - chosen;
                     let free_new = (symbols - occupied) * symbol_bits;
                     if free_new > 0 && rng.gen_range(0..free) < free_new {
                         occupied += 1;
                     }
-                    chosen += 1;
                 }
                 self.judge_symbols(occupied, t, random + burst, rng)
             }

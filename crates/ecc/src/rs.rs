@@ -60,7 +60,10 @@ impl RsCode {
             "RS length {n} exceeds field order {}",
             gf.order()
         );
-        assert!((n - k) % 2 == 0, "RS parity n - k must be even: ({n},{k})");
+        assert!(
+            (n - k).is_multiple_of(2),
+            "RS parity n - k must be even: ({n},{k})"
+        );
         let t = ((n - k) / 2) as u32;
         assert!(t >= 1, "RS needs t >= 1, got ({n},{k})");
         let mut gen = GfPoly::one();
@@ -285,7 +288,7 @@ impl RsCode {
             .collect()
     }
 
-    fn from_symbols(&self, symbols: &[u16]) -> BitBuf {
+    fn symbols_to_bits(&self, symbols: &[u16]) -> BitBuf {
         let m = self.symbol_bits();
         let mut bits = BitBuf::zeros(symbols.len() * m);
         for (i, &sym) in symbols.iter().enumerate() {
@@ -326,7 +329,7 @@ impl LineCode for RsCode {
 
     fn encode(&self, data: &BitBuf) -> BitBuf {
         assert_eq!(data.len(), self.data_bits(), "payload length mismatch");
-        self.from_symbols(&self.encode_symbols(&self.to_symbols(data)))
+        self.symbols_to_bits(&self.encode_symbols(&self.to_symbols(data)))
     }
 
     fn decode(&self, received: &mut BitBuf) -> DecodeOutcome {
@@ -339,7 +342,7 @@ impl LineCode for RsCode {
         match self.decode_symbols(&mut symbols) {
             Some(0) => DecodeOutcome::Clean,
             Some(_) => {
-                let corrected = self.from_symbols(&symbols);
+                let corrected = self.symbols_to_bits(&symbols);
                 let mut bits = 0u32;
                 for i in 0..received.len() {
                     if received.get(i) != corrected.get(i) {

@@ -15,7 +15,7 @@
 //! horizon-s = 3600
 //! cadence-s = 600       # telemetry roll-up / control-poll cadence
 //! policy = combined@900 # NAME@SWEEP_INTERVAL_S, or "none"
-//! engine = event        # stepped | event
+//! engine = event        # accepted and ignored: stepped | event
 //! threads = 0           # shard fan-out workers (0 = auto)
 //!
 //! [tenants]
@@ -37,7 +37,7 @@
 use std::str::FromStr;
 
 use pcm_workloads::TenantMixSpec;
-use scrub_core::{DemandTraffic, EngineKind, PolicyKind, SimConfig};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 
 use crate::health::SupervisorConfig;
 
@@ -60,8 +60,6 @@ pub struct FleetConfig {
     pub policy: PolicyKind,
     /// Canonical `NAME@INTERVAL` form of `policy`, for status output.
     pub policy_spec: String,
-    /// Simulation core (stepped vs. event).
-    pub engine: EngineKind,
     /// Worker threads for the shard fan-out (0 = auto).
     pub threads: usize,
     /// The open-loop tenant mix driving demand.
@@ -115,8 +113,7 @@ impl FleetConfig {
             })
             .horizon_s(self.horizon_s)
             .seed(self.shard_seed(shard))
-            .threads(1)
-            .engine(self.engine);
+            .threads(1);
         b.build()
     }
 
@@ -136,7 +133,7 @@ impl FleetConfig {
     /// never changes results.
     pub fn fingerprint(&self) -> u64 {
         let canon = format!(
-            "banks={} lpb={} shards={} seed={} horizon={} cadence={} policy={} engine={:?} \
+            "banks={} lpb={} shards={} seed={} horizon={} cadence={} policy={} \
              tenants={:?} retries={} gens={} ckpt_every={}",
             self.banks,
             self.lines_per_bank,
@@ -145,7 +142,6 @@ impl FleetConfig {
             self.horizon_s,
             self.cadence_s,
             self.policy_spec,
-            self.engine,
             self.tenants,
             self.supervisor.max_retries,
             self.supervisor.generations,
@@ -197,10 +193,11 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     }
 }
 
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
+/// The retired simulation-core selector: still validated so a typo is
+/// reported, then ignored — there is one core.
+fn check_engine(s: &str) -> Result<(), String> {
     match s {
-        "stepped" => Ok(EngineKind::Stepped),
-        "event" => Ok(EngineKind::Event),
+        "stepped" | "event" => Ok(()),
         other => Err(format!("engine must be stepped|event, got {other:?}")),
     }
 }
@@ -219,7 +216,6 @@ impl FromStr for FleetConfig {
         let mut horizon_s: Option<f64> = None;
         let mut cadence_s: Option<f64> = None;
         let mut policy_spec = "combined@900".to_string();
-        let mut engine = EngineKind::Event;
         let mut threads: usize = 0;
         let mut mix: Option<TenantMixSpec> = None;
         let mut supervisor = SupervisorConfig::default();
@@ -277,7 +273,7 @@ impl FromStr for FleetConfig {
                 ("fleet", "horizon-s") => horizon_s = Some(num("horizon-s")?),
                 ("fleet", "cadence-s") => cadence_s = Some(num("cadence-s")?),
                 ("fleet", "policy") => policy_spec = value.to_string(),
-                ("fleet", "engine") => engine = parse_engine(value)?,
+                ("fleet", "engine") => check_engine(value)?,
                 ("fleet", "threads") => {
                     threads = value
                         .parse()
@@ -379,7 +375,6 @@ impl FromStr for FleetConfig {
             cadence_s,
             policy,
             policy_spec,
-            engine,
             threads,
             tenants,
             supervisor,
@@ -414,7 +409,6 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
         assert_eq!(c.shards, 4);
         assert_eq!(c.banks_per_shard(), 2);
         assert_eq!(c.shard_lines(), 64);
-        assert_eq!(c.engine, EngineKind::Event);
         assert_eq!(c.tenants.tenants.len(), 2);
         assert_eq!(c.policy, PolicyKind::combined_default(900.0));
     }
@@ -546,6 +540,16 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
             c.fingerprint(),
             rethreaded.fingerprint(),
             "thread count never changes results, so it must not change the fingerprint"
+        );
+
+        let stepped: FleetConfig = GOOD
+            .replace("engine = event", "engine = stepped")
+            .parse()
+            .expect("parses");
+        assert_eq!(
+            c.fingerprint(),
+            stepped.fingerprint(),
+            "the ignored engine key never changes results, so it must not change the fingerprint"
         );
     }
 

@@ -90,6 +90,6 @@ pub mod prelude {
     };
     pub use pcm_workloads::WorkloadId;
     pub use scrub_core::{
-        DemandTraffic, EngineKind, PolicyKind, ScrubPolicy, SimConfig, SimReport, Simulation,
+        DemandTraffic, PolicyKind, ScrubPolicy, SimConfig, SimReport, Simulation,
     };
 }
