@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the performance-critical substrates:
 //! GF arithmetic, BCH encode/decode, drift-model evaluation, the fault
-//! engine, and end-to-end simulation stepping.
+//! engine and its write path, and end-to-end simulation stepping.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -103,6 +103,39 @@ fn bench_fault_engine(c: &mut Criterion) {
     });
 }
 
+/// The write path's three table-driven kernels, one call per iteration
+/// (the `kernels` bench gates them against their references).
+fn bench_write_path(c: &mut Criterion) {
+    let engine = FaultEngine::new(&DeviceConfig::default(), 288);
+    c.bench_function("fault_engine_on_write", |b| {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut lines: Vec<_> = (0..4096)
+            .map(|_| engine.fresh_line(SimTime::ZERO, &mut rng))
+            .collect();
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            let line = &mut lines[i % 4096];
+            engine.on_write(line, SimTime::from_secs(i as f64), &mut rng);
+            std::hint::black_box(line.occupancy)
+        })
+    });
+    c.bench_function("occupancy_reroll_288", |b| {
+        let tables = engine.occupancy_tables();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut out = [0u32; 4];
+        b.iter(|| {
+            tables.sample_into(&mut rng, 288, &mut out);
+            std::hint::black_box(out)
+        })
+    });
+    let secded = CodeSpec::secded_line();
+    c.bench_function("secded_classify_3_errors", |b| {
+        let mut rng = StdRng::seed_from_u64(6);
+        b.iter(|| std::hint::black_box(secded.classify(3, &mut rng)))
+    });
+}
+
 fn bench_sim_throughput(c: &mut Criterion) {
     c.bench_function("scrub_sweep_4k_lines_basic", |b| {
         b.iter_batched(
@@ -187,6 +220,7 @@ criterion_group!(
         bench_bch_codec,
         bench_drift_eval,
         bench_fault_engine,
+        bench_write_path,
         bench_sim_throughput
 );
 criterion_main!(benches);

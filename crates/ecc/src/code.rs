@@ -277,41 +277,20 @@ impl CodeSpec {
                 }
             }
             CorrectionSemantics::PerWord { words, word_bits } => {
-                let counts = spread_errors(errors, words, word_bits, rng);
-                let mut detected = false;
-                let mut corrected_bits = 0;
-                for &c in &counts {
-                    match c {
-                        0 => {}
-                        1 => corrected_bits += 1,
-                        2 => detected = true,
-                        n if n % 2 == 1 => {
-                            // Odd >= 3: overall parity looks like a single
-                            // error; the word usually miscorrects.
-                            if rng.gen::<f64>() < self.alias_prob {
-                                return ClassifyOutcome::Miscorrected;
-                            }
-                            detected = true;
-                            let _ = n;
-                        }
-                        _ => detected = true, // even >= 4: parity flags it
-                    }
-                }
-                if detected {
-                    ClassifyOutcome::DetectedUncorrectable
-                } else {
-                    ClassifyOutcome::Corrected {
-                        bits: corrected_bits,
-                    }
-                }
+                with_word_counts(words, |counts| {
+                    spread_errors(errors, word_bits, rng, counts);
+                    self.judge_words(counts, rng)
+                })
             }
             CorrectionSemantics::PerSymbol {
                 symbols,
                 t,
                 symbol_bits,
             } => {
-                let counts = spread_errors(errors, symbols, symbol_bits, rng);
-                let occupied = counts.iter().filter(|&&c| c > 0).count() as u32;
+                let occupied = with_word_counts(symbols, |counts| {
+                    spread_errors(errors, symbol_bits, rng, counts);
+                    counts.iter().filter(|&&c| c > 0).count() as u32
+                });
                 self.judge_symbols(occupied, t, errors, rng)
             }
         }
@@ -358,6 +337,36 @@ impl CodeSpec {
                 self.judge_symbols(occupied, t, random + burst, rng)
             }
             _ => self.classify(random + burst, rng),
+        }
+    }
+
+    /// Per-word SECDED verdict over the per-word error `counts`, in word
+    /// order (an odd count of 3 or more draws its aliasing in turn).
+    fn judge_words<R: Rng + ?Sized>(&self, counts: &[u16], rng: &mut R) -> ClassifyOutcome {
+        let mut detected = false;
+        let mut corrected_bits = 0;
+        for &c in counts {
+            match c {
+                0 => {}
+                1 => corrected_bits += 1,
+                2 => detected = true,
+                n if n % 2 == 1 => {
+                    // Odd >= 3: overall parity looks like a single error;
+                    // the word usually miscorrects.
+                    if rng.gen::<f64>() < self.alias_prob {
+                        return ClassifyOutcome::Miscorrected;
+                    }
+                    detected = true;
+                }
+                _ => detected = true, // even >= 4: parity flags it
+            }
+        }
+        if detected {
+            ClassifyOutcome::DetectedUncorrectable
+        } else {
+            ClassifyOutcome::Corrected {
+                bits: corrected_bits,
+            }
         }
     }
 
@@ -463,26 +472,52 @@ pub fn standard_code_ladder() -> Vec<CodeSpec> {
     v
 }
 
-/// Distributes `errors` distinct bit positions over `words` words of
-/// `word_bits` bits each (sampling without replacement), returning the
-/// per-word counts.
-fn spread_errors<R: Rng + ?Sized>(
-    errors: u32,
-    words: u32,
-    word_bits: u32,
-    rng: &mut R,
-) -> Vec<u32> {
-    let total = (words * word_bits) as usize;
+/// Most distinct error positions [`spread_errors`] tracks in an inline
+/// list; larger placements keep them in a hash set.
+const INLINE_POSITIONS: usize = 32;
+
+/// Runs `f` on a zeroed stack buffer of `words` counts. Every code the
+/// crate builds fits: SECDED has 8 words, and `rs_line` caps RS at 255
+/// symbols.
+fn with_word_counts<T>(words: u32, f: impl FnOnce(&mut [u16]) -> T) -> T {
+    let words = words as usize;
+    if words <= 16 {
+        f(&mut [0; 16][..words])
+    } else {
+        f(&mut [0; 256][..words])
+    }
+}
+
+/// Distributes `errors` distinct bit positions over the `counts.len()`
+/// words of `word_bits` bits each (sampling without replacement by
+/// rejection: redraw any position already chosen), adding each word's
+/// share to `counts`. Duplicates are found by a linear scan of an inline
+/// list for up to [`INLINE_POSITIONS`] errors and by a hash set above;
+/// both draw and accept the identical position sequence.
+fn spread_errors<R: Rng + ?Sized>(errors: u32, word_bits: u32, rng: &mut R, counts: &mut [u16]) {
+    let word_bits = word_bits as usize;
+    let total = counts.len() * word_bits;
     let e = (errors as usize).min(total);
-    let mut counts = vec![0u32; words as usize];
-    let mut chosen = std::collections::HashSet::with_capacity(e);
-    while chosen.len() < e {
-        let pos = rng.gen_range(0..total);
-        if chosen.insert(pos) {
-            counts[pos / word_bits as usize] += 1;
+    if e <= INLINE_POSITIONS {
+        let mut chosen = [0usize; INLINE_POSITIONS];
+        let mut len = 0;
+        while len < e {
+            let pos = rng.gen_range(0..total);
+            if !chosen[..len].contains(&pos) {
+                chosen[len] = pos;
+                len += 1;
+                counts[pos / word_bits] += 1;
+            }
+        }
+    } else {
+        let mut chosen = std::collections::HashSet::with_capacity(e);
+        while chosen.len() < e {
+            let pos = rng.gen_range(0..total);
+            if chosen.insert(pos) {
+                counts[pos / word_bits] += 1;
+            }
         }
     }
-    counts
 }
 
 /// Exact distribution of the number of *occupied symbols* when `errors`
@@ -685,8 +720,51 @@ mod tests {
     fn spread_conserves_errors() {
         let mut rng = StdRng::seed_from_u64(6);
         for e in [1u32, 3, 8, 20] {
-            let counts = spread_errors(e, 8, 72, &mut rng);
-            assert_eq!(counts.iter().sum::<u32>(), e);
+            let mut counts = [0u16; 8];
+            spread_errors(e, 72, &mut rng, &mut counts);
+            assert_eq!(counts.iter().map(|&c| c as u32).sum::<u32>(), e);
+        }
+    }
+
+    /// The hash-set placement the inline list replaced, kept as the
+    /// draw-for-draw reference.
+    fn spread_errors_hashset<R: Rng + ?Sized>(
+        errors: u32,
+        words: u32,
+        word_bits: u32,
+        rng: &mut R,
+    ) -> Vec<u32> {
+        let total = (words * word_bits) as usize;
+        let e = (errors as usize).min(total);
+        let mut counts = vec![0u32; words as usize];
+        let mut chosen = std::collections::HashSet::with_capacity(e);
+        while chosen.len() < e {
+            let pos = rng.gen_range(0..total);
+            if chosen.insert(pos) {
+                counts[pos / word_bits as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn placement_matches_hash_set_reference_draw_for_draw() {
+        // SECDED 8x72 and RS(72,64)'s 72 eight-bit symbols; e crosses the
+        // inline cap, so both duplicate checks are covered.
+        for (words, word_bits) in [(8u32, 72u32), (72, 8)] {
+            let mut a = StdRng::seed_from_u64(600 + words as u64);
+            let mut b = a.clone();
+            for e in 0..=80u32 {
+                for rep in 0..20 {
+                    let got = with_word_counts(words, |counts| {
+                        spread_errors(e, word_bits, &mut a, counts);
+                        counts.iter().map(|&c| c as u32).collect::<Vec<_>>()
+                    });
+                    let want = spread_errors_hashset(e, words, word_bits, &mut b);
+                    assert_eq!(got, want, "{words}x{word_bits} e={e} rep {rep}");
+                    assert_eq!(a.state(), b.state(), "{words}x{word_bits} e={e} rep {rep}");
+                }
+            }
         }
     }
 

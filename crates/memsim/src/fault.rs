@@ -8,7 +8,7 @@
 //! independent cells and O(1) per update. Wear failures use the same
 //! machinery with the lognormal endurance CDF over the write count.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
@@ -46,10 +46,60 @@ pub struct FaultEngine {
     /// Probability a stuck cell conflicts with fresh random data.
     conflict_prob: f64,
     /// Occupancy distribution of data cells over levels (random data →
-    /// uniform), with its conditional-binomial decomposition (and the
-    /// mode-path logarithms) precomputed — every write re-rolls occupancy,
-    /// making this the hottest multinomial in the simulator.
-    occupancy_dist: PrecomputedMultinomial,
+    /// uniform) with its walk tables, shared process-wide — every write
+    /// re-rolls occupancy, making this the hottest multinomial in the
+    /// simulator.
+    occupancy_dist: Arc<PrecomputedMultinomial>,
+    /// `wear_table[w]`: [`wear_failure_prob`] after `w` writes, shared
+    /// process-wide per endurance spec.
+    wear_table: Arc<[f64]>,
+}
+
+/// Lifetime write counts covered by the wear-failure table; a write at a
+/// higher wear evaluates the endurance CDF directly.
+const WEAR_TABLE_LEN: usize = 4096;
+
+/// Probability that a cell surviving `w1` writes fails on the next one,
+/// `(F(w1+1) − F(w1)) / (1 − F(w1))` over the endurance CDF `F`.
+fn wear_failure_prob(endurance: &EnduranceSpec, w1: u32) -> f64 {
+    wear_step(
+        endurance.fail_cdf(w1 as u64),
+        endurance.fail_cdf(w1.saturating_add(1) as u64),
+    )
+}
+
+/// The conditional failure step from the CDF before (`f1`) and after
+/// (`f2`) one write.
+fn wear_step(f1: f64, f2: f64) -> f64 {
+    if f1 >= 1.0 {
+        1.0
+    } else {
+        ((f2 - f1) / (1.0 - f1)).clamp(0.0, 1.0)
+    }
+}
+
+/// The process-wide wear-failure table for `endurance`: entry `w` is
+/// bit-identical to `wear_failure_prob(endurance, w)`, with each CDF
+/// value computed once and shared by the two steps it bounds.
+fn shared_wear_table(endurance: &EnduranceSpec) -> Arc<[f64]> {
+    type Key = (u64, u64);
+    static CACHE: Mutex<Vec<(Key, Arc<[f64]>)>> = Mutex::new(Vec::new());
+    let key = (
+        endurance.median_writes.to_bits(),
+        endurance.sigma_ln.to_bits(),
+    );
+    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
+    }
+    let cdf: Vec<f64> = (0..=WEAR_TABLE_LEN as u64)
+        .map(|w| endurance.fail_cdf(w))
+        .collect();
+    let table: Arc<[f64]> = cdf.windows(2).map(|f| wear_step(f[0], f[1])).collect();
+    // One entry per distinct endurance spec (sensitivity sweeps use a
+    // handful); a linear scan is fine.
+    cache.push((key, Arc::clone(&table)));
+    table
 }
 
 impl FaultEngine {
@@ -74,8 +124,15 @@ impl FaultEngine {
             cells_per_line,
             num_levels,
             conflict_prob: 1.0 - 1.0 / num_levels as f64,
-            occupancy_dist: PrecomputedMultinomial::new(&level_probs),
+            occupancy_dist: PrecomputedMultinomial::shared(&level_probs, cells_per_line),
+            wear_table: shared_wear_table(device.endurance()),
         }
+    }
+
+    /// The occupancy re-roll's walk tables (one instance per device level
+    /// count and line width, process-wide).
+    pub fn occupancy_tables(&self) -> &Arc<PrecomputedMultinomial> {
+        &self.occupancy_dist
     }
 
     /// The analytic drift model in use.
@@ -116,13 +173,7 @@ impl FaultEngine {
         // Wear failures: incremental binomial over the endurance CDF.
         let susceptible = self.cells_per_line - line.worn_cells as u32;
         if susceptible > 0 {
-            let f1 = self.endurance.fail_cdf(w1 as u64);
-            let f2 = self.endurance.fail_cdf(line.wear as u64);
-            let dp = if f1 >= 1.0 {
-                1.0
-            } else {
-                ((f2 - f1) / (1.0 - f1)).clamp(0.0, 1.0)
-            };
+            let dp = self.wear_failure_prob(w1);
             line.worn_cells += sample_binomial(rng, susceptible, dp) as u16;
         }
         // Fresh data pattern over the remaining live cells.
@@ -142,6 +193,15 @@ impl FaultEngine {
         let conflicts = sample_binomial(rng, unpatched, self.conflict_prob);
         let double_bit = sample_binomial(rng, conflicts, 1.0 / 3.0);
         line.worn_conflict_bits = (conflicts + double_bit) as u16;
+    }
+
+    /// [`wear_failure_prob`] after `w1` writes, from the table when it
+    /// covers `w1`.
+    fn wear_failure_prob(&self, w1: u32) -> f64 {
+        match self.wear_table.get(w1 as usize) {
+            Some(&dp) => dp,
+            None => wear_failure_prob(&self.endurance, w1),
+        }
     }
 
     /// Injects `count` additional stuck-at cells at `now` without charging
@@ -554,6 +614,60 @@ mod tests {
         line.ecp_assigned = line.worn_cells;
         e.on_write(&mut line, SimTime::from_secs(100.0), &mut rng);
         assert_eq!(line.worn_conflict_bits, 0);
+    }
+
+    #[test]
+    fn wear_table_matches_the_endurance_formula() {
+        // Every tabulated wear and a stretch past the table, bit for bit
+        // against the CDF formula on_write evaluated per write.
+        let specs = [
+            (1e6, 0.25),
+            (30.0, 0.4),
+            (1.001, 0.25),
+            (50.0, 1e-6),
+            (1e6, 8.0),
+        ];
+        for (median, sigma) in specs {
+            let spec = EnduranceSpec::new(median, sigma);
+            let dev = DeviceConfig::builder().endurance(spec).build();
+            let e = FaultEngine::new(&dev, 288);
+            assert_eq!(e.wear_table.len(), WEAR_TABLE_LEN);
+            let past = [u32::MAX - 1, u32::MAX];
+            for w1 in (0..WEAR_TABLE_LEN as u32 + 64).chain(past) {
+                let f1 = spec.fail_cdf(w1 as u64);
+                let f2 = spec.fail_cdf(w1.saturating_add(1) as u64);
+                let want = if f1 >= 1.0 {
+                    1.0
+                } else {
+                    ((f2 - f1) / (1.0 - f1)).clamp(0.0, 1.0)
+                };
+                let got = e.wear_failure_prob(w1);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "spec ({median}, {sigma}) wear {w1}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn engines_of_one_device_share_their_tables() {
+        let dev = DeviceConfig::default();
+        let a = FaultEngine::new(&dev, 288);
+        let b = FaultEngine::new(&dev, 288);
+        assert!(Arc::ptr_eq(a.occupancy_tables(), b.occupancy_tables()));
+        assert!(Arc::ptr_eq(&a.wear_table, &b.wear_table));
+        // Exercise both engines, then bound what the shared tables hold.
+        let mut rng = StdRng::seed_from_u64(64);
+        for e in [&a, &b] {
+            let mut line = e.fresh_line(SimTime::ZERO, &mut rng);
+            for i in 0..20_000u32 {
+                e.on_write(&mut line, SimTime::from_secs(i as f64), &mut rng);
+            }
+        }
+        let bytes = a.occupancy_tables().table_bytes();
+        assert!(bytes > 0 && bytes <= 256 * 1024, "{bytes} B of tables");
     }
 
     #[test]

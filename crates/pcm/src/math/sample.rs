@@ -4,6 +4,8 @@
 //! component of the system is reproducible from a seed (the workspace-wide
 //! determinism invariant).
 
+use std::sync::{Arc, Mutex, OnceLock};
+
 use rand::Rng;
 
 use super::erf::norm_ppf;
@@ -76,7 +78,6 @@ const LN_FACT_MAX_N: usize = 4096;
 
 /// `ln(k!)` for `k ≤ LN_FACT_MAX_N`, built once on first use.
 fn ln_fact_table() -> &'static [f64] {
-    use std::sync::OnceLock;
     static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut t = Vec::with_capacity(LN_FACT_MAX_N + 1);
@@ -127,7 +128,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
         (1.0 - p, true)
     };
     let k = if n as f64 * ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
-        binomial_inv_bottom(rng, n, ps)
+        binomial_inv_bottom(rng.gen(), n, ps)
     } else {
         binomial_inv_mode(rng, n, ps)
     };
@@ -157,38 +158,61 @@ fn powi_u32(mut x: f64, mut n: u32) -> f64 {
     r
 }
 
-/// Bottom-up CDF inversion for small means: start at `P(X=0) = qⁿ` and
-/// walk up with the PMF ratio recurrence. One uniform, expected
+/// Bottom-up CDF inversion of the uniform `u` for small means: start at
+/// `P(X=0) = qⁿ` and walk up with the PMF ratio recurrence. Expected
 /// `O(np + 1)` iterations, and the dominant zero outcome costs a single
 /// compare after `powi`.
-fn binomial_inv_bottom<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
+fn binomial_inv_bottom(u: f64, n: u32, p: f64) -> u32 {
     debug_assert!(p > 0.0 && p <= 0.5);
     let q = 1.0 - p;
     if q == 1.0 {
         // p below ~2^-53: `1 - p` rounded to 1. The success probability of
         // the whole experiment is n·p < 1e-13 — sample that single event
         // instead of walking a degenerate recurrence.
-        return u32::from(rng.gen::<f64>() < n as f64 * p);
+        return u32::from(u < n as f64 * p);
     }
-    binomial_inv_bottom_with(rng, n, p, powi_u32(q, n))
+    bottom_walk(n, p, powi_u32(q, n), inverter(u))
 }
 
 /// The bottom-up walk with the `qⁿ` prefactor supplied by the caller
 /// (who may have batched several prefactor computations; see
 /// [`sample_binomial4`]).
 fn binomial_inv_bottom_with<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64, pmf0: f64) -> u32 {
+    bottom_walk(n, p, pmf0, inverter(rng.gen()))
+}
+
+/// The CDF-inversion visitor for the walks below: accepts the visited
+/// outcome once `u` falls inside its PMF term, otherwise subtracts the
+/// term and moves on. Every sampler — walk or table — inverts with exactly
+/// this compare-then-subtract sequence, which is what makes them agree
+/// bit for bit.
+#[inline(always)]
+fn inverter(mut u: f64) -> impl FnMut(f64) -> bool {
+    move |pmf| {
+        if u < pmf {
+            true
+        } else {
+            u -= pmf;
+            false
+        }
+    }
+}
+
+/// Visits `Binomial(n, p)`'s support bottom-up from `P(X=0) = pmf0` with
+/// the PMF ratio recurrence, passing each outcome's PMF term to `visit`
+/// until it accepts one; returns that `k`, or `n` once the walk reaches it without
+/// visiting it (the clamp absorbing the ~1e-15 rounding residue a full
+/// walk can leave past the last bucket).
+#[inline(always)]
+fn bottom_walk(n: u32, p: f64, pmf0: f64, mut visit: impl FnMut(f64) -> bool) -> u32 {
     let q = 1.0 - p;
     let mut pmf = pmf0;
     let r = p / q;
-    let mut u: f64 = rng.gen();
     let mut k = 0u32;
     loop {
-        // The `k >= n` clamp absorbs the ~1e-15 rounding residue a full
-        // walk can leave past the last bucket.
-        if u < pmf || k >= n {
+        if k >= n || visit(pmf) {
             return k;
         }
-        u -= pmf;
         k += 1;
         pmf *= r * (n - k + 1) as f64 / k as f64;
     }
@@ -268,33 +292,38 @@ pub fn sample_binomial4<R: Rng + ?Sized>(rng: &mut R, ns: [u32; 4], ps: [f64; 4]
 /// uniform's mass is located. Any fixed ordering of the support is a valid
 /// inversion; this one visits an expected `O(√(npq))` terms.
 fn binomial_inv_mode<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
-    binomial_inv_mode_with_logs(rng, n, p, p.ln(), (1.0 - p).ln())
+    mode_walk(n, p, p.ln(), (1.0 - p).ln(), inverter(rng.gen()))
 }
 
-/// [`binomial_inv_mode`] with `ln p` / `ln q` supplied by the caller.
-/// Callers that draw many binomials at a fixed `p` (the occupancy
-/// multinomial's conditionals) hoist the two `ln` calls out of the loop;
-/// passing the logs of the same `p` yields bit-identical samples.
-fn binomial_inv_mode_with_logs<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: u32,
-    p: f64,
-    ln_p: f64,
-    ln_q: f64,
-) -> u32 {
+/// The mode the outward walk starts from.
+#[inline]
+fn binomial_mode(n: u32, p: f64) -> u32 {
+    (((n + 1) as f64) * p).floor().min(n as f64) as u32
+}
+
+/// Visits `Binomial(n, p)`'s support outward from the mode (m, m+1, m−1,
+/// m+2, …; once one side runs out, the other side alone), passing each
+/// outcome's PMF term to `visit` until it accepts one, and returns that
+/// outcome. If
+/// the support is exhausted with a rounding residue left, returns the
+/// mode (any in-support value is within the rounding tolerance).
+///
+/// `ln p` / `ln q` are supplied by the caller, so callers drawing many
+/// binomials at a fixed `p` hoist the two `ln` calls; passing the logs of
+/// the same `p` visits bit-identical terms.
+#[inline(always)]
+fn mode_walk(n: u32, p: f64, ln_p: f64, ln_q: f64, mut visit: impl FnMut(f64) -> bool) -> u32 {
     debug_assert!(p > 0.0 && p <= 0.5);
     let q = 1.0 - p;
     let lf = ln_fact_table();
-    let m = (((n + 1) as f64) * p).floor().min(n as f64) as u32;
+    let m = binomial_mode(n, p);
     let ln_pmf_m = lf[n as usize] - lf[m as usize] - lf[(n - m) as usize]
         + m as f64 * ln_p
         + (n - m) as f64 * ln_q;
     let pmf_m = ln_pmf_m.exp();
-    let mut u: f64 = rng.gen();
-    if u < pmf_m {
+    if visit(pmf_m) {
         return m;
     }
-    u -= pmf_m;
     let r = p / q;
     let (mut up_k, mut up_pmf) = (m, pmf_m);
     let (mut dn_k, mut dn_pmf) = (m, pmf_m);
@@ -303,26 +332,48 @@ fn binomial_inv_mode_with_logs<R: Rng + ?Sized>(
         if up_k < n {
             up_pmf *= r * (n - up_k) as f64 / (up_k + 1) as f64;
             up_k += 1;
-            if u < up_pmf {
+            if visit(up_pmf) {
                 return up_k;
             }
-            u -= up_pmf;
             progressed = true;
         }
         if dn_k > 0 {
             dn_pmf *= dn_k as f64 / (r * (n - dn_k + 1) as f64);
             dn_k -= 1;
-            if u < dn_pmf {
+            if visit(dn_pmf) {
                 return dn_k;
             }
-            u -= dn_pmf;
             progressed = true;
         }
         if !progressed {
-            // Support exhausted with a rounding residue left: return the
-            // mode (any in-support value is within the rounding tolerance).
             return m;
         }
+    }
+}
+
+/// The `i`-th outcome [`mode_walk`] visits from mode `m` (the walk's
+/// visit order in closed form); `i` past the support's `n + 1` terms is
+/// the walk's exhaustion outcome, `m`.
+#[inline]
+fn mode_walk_outcome(n: u32, m: u32, i: u32) -> u32 {
+    if i == 0 || i > n {
+        return m;
+    }
+    let (up, dn) = (n - m, m);
+    let both = up.min(dn);
+    let t = i - 1;
+    if t < 2 * both {
+        // Alternating phase: up to m + j, then down to m − j.
+        let j = t / 2 + 1;
+        if t.is_multiple_of(2) {
+            m + j
+        } else {
+            m - j
+        }
+    } else if up > dn {
+        m + t - both + 1
+    } else {
+        m - (t - both + 1)
     }
 }
 
@@ -382,10 +433,50 @@ pub fn sample_multinomial_into<R: Rng + ?Sized>(
     }
 }
 
+/// Most PMF terms one walk table holds. A draw whose uniform lies past the
+/// tabulated terms re-runs the walk from the same uniform, so the cap
+/// trades table memory against how often that happens: for the fault
+/// engine's 288-cell re-roll (σ ≈ 7 cells) 32 terms span about ±2σ
+/// around the mode, leaving a few percent of draws to the walk.
+const WALK_TABLE_CAP: usize = 32;
+
+/// The first [`WALK_TABLE_CAP`] PMF terms one binomial walk visits, in
+/// visit order, as computed by the walk itself. If the walk ran to
+/// completion inside the cap, a final `+∞` term stands for its terminal
+/// outcome (the bottom walk's clamp to `n`, the mode walk's fallback to
+/// the mode), which it returns whatever uniform is left.
+#[derive(Debug)]
+struct WalkTable {
+    pmf: Box<[f64]>,
+    /// `Some(m)` for a mode walk from `m`; `None` for a bottom-up walk.
+    mode: Option<u32>,
+}
+
+impl WalkTable {
+    /// Inverts `u` over the tabulated terms with the walk's own
+    /// compare-then-subtract sequence, returning the outcome (unreflected),
+    /// or `None` if `u` lies past the last term.
+    #[inline]
+    fn invert(&self, n: u32, mut u: f64) -> Option<u32> {
+        for (i, &pmf) in self.pmf.iter().enumerate() {
+            if u < pmf {
+                let i = i as u32;
+                return Some(match self.mode {
+                    Some(m) => mode_walk_outcome(n, m, i),
+                    None => i,
+                });
+            }
+            u -= pmf;
+        }
+        None
+    }
+}
+
 /// One category of a [`PrecomputedMultinomial`]: the conditional binomial
-/// probability in the orientation [`sample_binomial`] would pick, with its
-/// logarithms taken once at construction.
-#[derive(Debug, Clone)]
+/// probability in the orientation [`sample_binomial`] would pick, its
+/// logarithms taken once, and lazily built walk tables for every trial
+/// count up to the multinomial's table bound.
+#[derive(Debug)]
 struct PrecomputedCategory {
     /// Conditional success probability `p_i / (p_i + p_{i+1} + …)`.
     cond: f64,
@@ -395,16 +486,37 @@ struct PrecomputedCategory {
     flip: bool,
     ln_ps: f64,
     ln_qs: f64,
+    /// `tables[n]`: the walk table for `n` trials, built on first use.
+    tables: Box<[OnceLock<WalkTable>]>,
 }
 
 /// A multinomial distribution with its sequential-conditional decomposition
 /// precomputed. Sampling draws the identical uniforms and returns the
-/// identical counts as [`sample_multinomial_into`] over the same `probs`,
-/// but hoists the per-category divisions, clamps, and — on the
-/// mode-inversion path — the two `ln` evaluations out of the per-call work.
-/// Built once per fault engine for the cell-occupancy re-roll, which is the
-/// single hottest multinomial in the simulator.
-#[derive(Debug, Clone)]
+/// identical counts as [`sample_multinomial_into`] over the same `probs`.
+///
+/// Each conditional binomial is drawn by inverting one uniform over a
+/// table of the PMF terms its walk would visit, built on first use per
+/// trial count `n ≤ max_n` with the walk's own arithmetic; a uniform that
+/// runs past a truncated table re-runs the walk from the same uniform, and
+/// larger `n` walk directly. Shared process-wide through
+/// [`PrecomputedMultinomial::shared`]: the fault engine's cell-occupancy
+/// re-roll is the single hottest multinomial in the simulator.
+///
+/// # Examples
+///
+/// ```
+/// use pcm_model::math::{sample_multinomial_into, PrecomputedMultinomial};
+/// use rand::SeedableRng;
+/// let probs = [0.25; 4];
+/// let pre = PrecomputedMultinomial::new(&probs, 288);
+/// let mut a = rand::rngs::StdRng::seed_from_u64(3);
+/// let mut b = rand::rngs::StdRng::seed_from_u64(3);
+/// let (mut x, mut y) = ([0u32; 4], [0u32; 4]);
+/// pre.sample_into(&mut a, 288, &mut x);
+/// sample_multinomial_into(&mut b, 288, &probs, &mut y);
+/// assert_eq!(x, y);
+/// ```
+#[derive(Debug)]
 pub struct PrecomputedMultinomial {
     categories: Vec<PrecomputedCategory>,
 }
@@ -413,12 +525,12 @@ impl PrecomputedMultinomial {
     /// Validates `probs` exactly as [`sample_multinomial_into`] does and
     /// precomputes each conditional with the same arithmetic (so the f64
     /// conditionals — and therefore every downstream draw — are
-    /// bit-identical).
+    /// bit-identical). Walk tables cover trial counts up to `max_n`.
     ///
     /// # Panics
     ///
     /// Panics on the same invalid `probs` as [`sample_multinomial`].
-    pub fn new(probs: &[f64]) -> Self {
+    pub fn new(probs: &[f64], max_n: u32) -> Self {
         assert!(!probs.is_empty(), "multinomial needs at least one category");
         let total: f64 = probs.iter().sum();
         assert!(
@@ -448,10 +560,33 @@ impl PrecomputedMultinomial {
                 flip,
                 ln_ps: ps.ln(),
                 ln_qs: (1.0 - ps).ln(),
+                tables: (0..=max_n).map(|_| OnceLock::new()).collect(),
             });
             remaining_p -= p;
         }
         Self { categories }
+    }
+
+    /// The process-wide instance for `probs` with tables up to `max_n`,
+    /// built on first request: every fault engine of one device shares a
+    /// single table set (an 8-shard fleet holds one copy, not eight).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same invalid `probs` as [`PrecomputedMultinomial::new`].
+    pub fn shared(probs: &[f64], max_n: u32) -> Arc<Self> {
+        type Key = (Vec<u64>, u32);
+        static CACHE: Mutex<Vec<(Key, Arc<PrecomputedMultinomial>)>> = Mutex::new(Vec::new());
+        let key: Key = (probs.iter().map(|p| p.to_bits()).collect(), max_n);
+        let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, tables)) = cache.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(tables);
+        }
+        let tables = Arc::new(Self::new(probs, max_n));
+        // Distinct (distribution, line width) pairs per process number a
+        // handful (one per level count × code); a linear scan is fine.
+        cache.push((key, Arc::clone(&tables)));
+        tables
     }
 
     /// Number of categories (length `sample_into` expects of its buffer).
@@ -464,6 +599,22 @@ impl PrecomputedMultinomial {
         false
     }
 
+    /// Heap bytes held by the walk tables built so far, including the
+    /// per-`n` slots.
+    pub fn table_bytes(&self) -> usize {
+        self.categories
+            .iter()
+            .map(|c| {
+                std::mem::size_of_val(&*c.tables)
+                    + c.tables
+                        .iter()
+                        .filter_map(OnceLock::get)
+                        .map(|t| std::mem::size_of_val(&*t.pmf))
+                        .sum::<usize>()
+            })
+            .sum()
+    }
+
     /// Samples an allocation of `n` trials into `out`, identically to
     /// [`sample_multinomial_into`] with the constructor's `probs`.
     ///
@@ -471,10 +622,27 @@ impl PrecomputedMultinomial {
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, n: u32, out: &mut [u32]) {
+        self.fill(rng, n, out, true);
+    }
+
+    /// The reference for [`Self::sample_into`]: the same draws and counts
+    /// with every conditional drawn by its walk, tables unused. For
+    /// equivalence checks and benchmarks; the simulator samples through
+    /// the tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.len()`.
+    pub fn sample_into_by_walk<R: Rng + ?Sized>(&self, rng: &mut R, n: u32, out: &mut [u32]) {
+        self.fill(rng, n, out, false);
+    }
+
+    #[inline]
+    fn fill<R: Rng + ?Sized>(&self, rng: &mut R, n: u32, out: &mut [u32], tables: bool) {
         assert_eq!(out.len(), self.len(), "multinomial buffer length mismatch");
         let mut remaining_n = n;
         for (slot, cat) in out.iter_mut().zip(&self.categories) {
-            let k = cat.sample(rng, remaining_n);
+            let k = cat.sample(rng, remaining_n, tables);
             *slot = k;
             remaining_n -= k;
         }
@@ -483,24 +651,76 @@ impl PrecomputedMultinomial {
 }
 
 impl PrecomputedCategory {
-    /// `sample_binomial(rng, n, self.cond)`, with the orientation and logs
-    /// reused rather than recomputed.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n: u32) -> u32 {
+    /// `sample_binomial(rng, n, self.cond)`: one uniform, inverted over
+    /// the walk table for `n` (if `tables` is set, there is one, and it
+    /// reaches far enough), else by the walk itself.
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n: u32, tables: bool) -> u32 {
         if n == 0 || self.cond <= 0.0 {
             return 0;
         }
         if self.cond >= 1.0 {
             return n;
         }
-        let k = if n as f64 * self.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
-            binomial_inv_bottom(rng, n, self.ps)
-        } else {
-            binomial_inv_mode_with_logs(rng, n, self.ps, self.ln_ps, self.ln_qs)
-        };
+        let u: f64 = rng.gen();
+        let tabled = self
+            .tables
+            .get(n as usize)
+            .filter(|_| tables)
+            .and_then(|slot| slot.get_or_init(|| self.build_table(n)).invert(n, u));
+        let k = tabled.unwrap_or_else(|| self.walk(n, u));
         if self.flip {
             n - k
         } else {
             k
+        }
+    }
+
+    /// Whether `n` trials take the mode-centred walk (else bottom-up),
+    /// by [`sample_binomial`]'s rule.
+    fn uses_mode_walk(&self, n: u32) -> bool {
+        !(n as f64 * self.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N)
+    }
+
+    /// The walk [`sample_binomial`] would run for `n` trials, inverting `u`.
+    fn walk(&self, n: u32, u: f64) -> u32 {
+        if self.uses_mode_walk(n) {
+            mode_walk(n, self.ps, self.ln_ps, self.ln_qs, inverter(u))
+        } else {
+            binomial_inv_bottom(u, n, self.ps)
+        }
+    }
+
+    /// Records the first [`WALK_TABLE_CAP`] terms [`Self::walk`] visits for
+    /// `n` trials (plus the `+∞` terminal term if the walk ends inside the
+    /// cap). The degenerate `1 − p == 1` bottom case gets an empty table,
+    /// leaving every draw to the walk.
+    fn build_table(&self, n: u32) -> WalkTable {
+        let mut pmf = Vec::with_capacity(WALK_TABLE_CAP + 1);
+        let mut record = |term| {
+            pmf.push(term);
+            pmf.len() == WALK_TABLE_CAP
+        };
+        let mode = if self.uses_mode_walk(n) {
+            mode_walk(n, self.ps, self.ln_ps, self.ln_qs, &mut record);
+            Some(binomial_mode(n, self.ps))
+        } else {
+            let q = 1.0 - self.ps;
+            if q == 1.0 {
+                return WalkTable {
+                    pmf: Box::new([]),
+                    mode: None,
+                };
+            }
+            bottom_walk(n, self.ps, powi_u32(q, n), &mut record);
+            None
+        };
+        if pmf.len() < WALK_TABLE_CAP {
+            pmf.push(f64::INFINITY);
+        }
+        WalkTable {
+            pmf: pmf.into_boxed_slice(),
+            mode,
         }
     }
 }
@@ -718,7 +938,7 @@ mod tests {
             &[0.0, 0.5, 0.5],
         ];
         for (i, probs) in prob_sets.iter().enumerate() {
-            let pre = PrecomputedMultinomial::new(probs);
+            let pre = PrecomputedMultinomial::new(probs, 288);
             assert_eq!(pre.len(), probs.len());
             let mut a = StdRng::seed_from_u64(7000 + i as u64);
             let mut b = StdRng::seed_from_u64(7000 + i as u64);
@@ -731,6 +951,139 @@ mod tests {
             }
             assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {i}: stream skew");
         }
+    }
+
+    /// Draws `pre` (through its tables and by its walks) and the ad-hoc
+    /// sampler over `probs` side by side for every `n` in `ns`, `reps`
+    /// times each, asserting equal counts and an equal generator state
+    /// after every call.
+    fn assert_tables_match_ad_hoc(
+        pre: &PrecomputedMultinomial,
+        probs: &[f64],
+        ns: impl IntoIterator<Item = u32>,
+        reps: usize,
+        seed: u64,
+    ) {
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        let mut c = StdRng::seed_from_u64(seed);
+        let mut got = vec![0u32; probs.len()];
+        let mut want = vec![0u32; probs.len()];
+        let mut walked = vec![0u32; probs.len()];
+        for n in ns {
+            for rep in 0..reps {
+                pre.sample_into(&mut a, n, &mut got);
+                sample_multinomial_into(&mut b, n, probs, &mut want);
+                pre.sample_into_by_walk(&mut c, n, &mut walked);
+                assert_eq!(got, want, "probs {probs:?} n={n} rep {rep}");
+                assert_eq!(walked, want, "probs {probs:?} n={n} rep {rep}");
+                assert_eq!(a.state(), b.state(), "probs {probs:?} n={n} rep {rep}");
+                assert_eq!(c.state(), b.state(), "probs {probs:?} n={n} rep {rep}");
+            }
+        }
+    }
+
+    #[test]
+    fn walk_tables_match_ad_hoc_draw_for_draw() {
+        // Two and four levels (the cell-occupancy shapes) plus a skewed
+        // distribution with a reflected conditional; n spans every line
+        // width up to RS-over-GF(2^8) cells and beyond, past the table
+        // bound and past LN_FACT_MAX_N (walked directly).
+        let prob_sets: &[&[f64]] = &[&[0.5, 0.5], &[0.25; 4], &[0.6, 0.1, 0.3]];
+        let beyond = [1101u32, 4096, 4097, 6000];
+        for (i, probs) in prob_sets.iter().enumerate() {
+            let pre = PrecomputedMultinomial::new(probs, 1100);
+            let ns = (0..=1100u32).chain(beyond);
+            assert_tables_match_ad_hoc(&pre, probs, ns, 3, 7100 + i as u64);
+        }
+    }
+
+    /// A generator replaying fixed words, for steering a draw's uniform.
+    struct Replay(Vec<u64>);
+
+    impl rand::RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.remove(0)
+        }
+    }
+
+    #[test]
+    fn truncated_tables_fall_back_to_the_walk() {
+        // u just below 1 lies past every truncated table: the draw must
+        // re-run the walk from that uniform and land where the walk does.
+        let probs = [0.25; 4];
+        let pre = PrecomputedMultinomial::new(&probs, 288);
+        let top = u64::MAX;
+        let cat = &pre.categories[0];
+        let table = cat.tables[288].get_or_init(|| cat.build_table(288));
+        assert_eq!(table.pmf.len(), WALK_TABLE_CAP, "288 trials truncate");
+        let u = (top >> 11) as f64 / (1u64 << 53) as f64;
+        assert_eq!(table.invert(288, u), None, "u must run past the table");
+        for words in [[top, top, top], [top, 0, top], [0, top, 1 << 62]] {
+            let mut got = [0u32; 4];
+            let mut want = [0u32; 4];
+            pre.sample_into(&mut Replay(words.to_vec()), 288, &mut got);
+            sample_multinomial_into(&mut Replay(words.to_vec()), 288, &probs, &mut want);
+            assert_eq!(got, want, "words {words:x?}");
+        }
+        // Small n: the whole support fits, ending in the +inf terminal
+        // term, so the same uniform resolves inside the table.
+        let small = cat.tables[5].get_or_init(|| cat.build_table(5));
+        assert_eq!(small.pmf.last(), Some(&f64::INFINITY));
+        assert!(small.invert(5, u).is_some());
+    }
+
+    #[test]
+    fn mode_walk_outcome_follows_the_visit_order() {
+        for n in 0..=40u32 {
+            for m in 0..=n {
+                // The walk's loop with the PMF terms stripped out: the
+                // visit order depends on (n, m) only.
+                let mut seen = vec![m];
+                let (mut up, mut dn) = (m, m);
+                while up < n || dn > 0 {
+                    if up < n {
+                        up += 1;
+                        seen.push(up);
+                    }
+                    if dn > 0 {
+                        dn -= 1;
+                        seen.push(dn);
+                    }
+                }
+                for (i, &k) in seen.iter().enumerate() {
+                    assert_eq!(mode_walk_outcome(n, m, i as u32), k, "n={n} m={m} i={i}");
+                }
+                assert_eq!(mode_walk_outcome(n, m, n + 1), m);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_tables_are_one_instance_per_distribution() {
+        let a = PrecomputedMultinomial::shared(&[0.25; 4], 288);
+        let b = PrecomputedMultinomial::shared(&[0.25; 4], 288);
+        assert!(Arc::ptr_eq(&a, &b));
+        let c = PrecomputedMultinomial::shared(&[0.5, 0.5], 288);
+        assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn default_device_tables_fit_the_memory_bound() {
+        // Every table the 288-cell, four-level occupancy re-roll can ever
+        // build, for every category and trial count at once: the shared
+        // set's worst case stays within 256 KiB.
+        let pre = PrecomputedMultinomial::new(&[0.25; 4], 288);
+        for cat in &pre.categories {
+            for n in 0..=288 {
+                cat.tables[n as usize].get_or_init(|| cat.build_table(n));
+            }
+        }
+        let bytes = pre.table_bytes();
+        assert!(bytes <= 256 * 1024, "{bytes} B of tables");
     }
 
     #[test]
