@@ -1,7 +1,8 @@
-//! Table-driven kernel pin: the three write-path kernels that sample
-//! through precomputed tables, each against an in-process reference that
-//! draws the same uniforms without them, with a speed gate and a
-//! machine-readable record.
+//! Sampling kernel pin: the three write-path kernels that sample through
+//! precomputed tables and the read path's squeeze-first binomials, each
+//! against an in-process reference that draws the same uniforms the way
+//! the simulator did before, with a speed gate and a machine-readable
+//! record.
 //!
 //! Kernels and references:
 //!
@@ -14,10 +15,15 @@
 //! * `secded_classify_3` — [`CodeSpec::classify`] of three errors on
 //!   SECDED 8×(72,64) (stack counts, inline position list) against the
 //!   same placement through a heap `Vec` and `HashSet`.
+//! * `read_288` — [`FaultEngine::advance_and_transient`] on a 288-cell
+//!   line read one 900 s scrub interval after its write, whose per-level
+//!   binomials settle the zero outcome with a squeeze before computing
+//!   `qⁿ`, against the same read with every small-mean lane's `qⁿ`
+//!   computed up front by a batched exponentiation.
 //!
 //! Each pair is first checked to produce identical outcomes and an
 //! identical generator state over the timed call sequence, then timed
-//! best of `GATE_REPS`; the gate asserts every table path is at least
+//! best of `GATE_REPS`; the gate asserts every fast path is at least
 //! `KERNEL_SPEEDUP_FLOOR` × faster than its reference. A ratio to a
 //! reference in the same process does not depend on host speed. Criterion
 //! microbenches of the same pairs run first.
@@ -32,13 +38,13 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use pcm_ecc::{ClassifyOutcome, CodeSpec, CorrectionSemantics};
-use pcm_memsim::{FaultEngine, LineState, SimTime};
+use pcm_memsim::{FaultEngine, LineState, SimTime, MAX_LEVELS};
 use pcm_model::math::{sample_binomial, PrecomputedMultinomial};
-use pcm_model::{DeviceConfig, EnduranceSpec};
+use pcm_model::{DeviceConfig, DriftModel, EnduranceSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every table path must beat its reference by at least this factor
+/// Every fast path must beat its reference by at least this factor
 /// (best of `GATE_REPS`).
 const KERNEL_SPEEDUP_FLOOR: f64 = 1.5;
 
@@ -150,6 +156,132 @@ fn reference_classify(code: &CodeSpec, errors: u32, rng: &mut StdRng) -> Classif
     }
 }
 
+/// Mean above which `sample_binomial` walks from the mode, and the
+/// largest `n` it does so for.
+const MODE_CUTOFF: f64 = 10.0;
+const MODE_MAX_N: u32 = 4096;
+
+/// Up to four binomial draws the way the read path drew them before its
+/// zero squeeze: every bottom-walk lane's `qⁿ` prefactor computed by one
+/// four-lane exponentiation before any uniform is drawn, then each lane
+/// inverted in order (mode-walk and degenerate lanes by
+/// [`sample_binomial`] itself). Draw-identical to four sequential
+/// [`sample_binomial`] calls.
+fn prefactor_binomial4(rng: &mut StdRng, ns: [u32; 4], ps: [f64; 4]) -> [u32; 4] {
+    let tail = |p: f64| {
+        if p <= 0.5 {
+            (p, false)
+        } else {
+            (1.0 - p, true)
+        }
+    };
+    let mut qs = [1.0f64; 4];
+    let mut es = [0u32; 4];
+    let mut bottom = [false; 4];
+    for l in 0..4 {
+        let (n, p) = (ns[l], ps[l]);
+        if n == 0 || p <= 0.0 || p >= 1.0 {
+            continue;
+        }
+        let (p, _) = tail(p);
+        let q = 1.0 - p;
+        if q != 1.0 && (n as f64 * p < MODE_CUTOFF || n > MODE_MAX_N) {
+            bottom[l] = true;
+            qs[l] = q;
+            es[l] = n;
+        }
+    }
+    // Branchless four-lane binary exponentiation, each lane in the
+    // sampler's multiply order.
+    let mut pmf0s = [1.0f64; 4];
+    while es.iter().any(|&e| e > 0) {
+        for l in 0..4 {
+            pmf0s[l] *= if es[l] & 1 == 1 { qs[l] } else { 1.0 };
+            qs[l] *= qs[l];
+            es[l] /= 2;
+        }
+    }
+    let mut out = [0u32; 4];
+    for l in 0..4 {
+        if !bottom[l] {
+            out[l] = sample_binomial(rng, ns[l], ps[l]);
+            continue;
+        }
+        let (n, (p, flip)) = (ns[l], tail(ps[l]));
+        let r = p / (1.0 - p);
+        let mut u: f64 = rng.gen();
+        let (mut k, mut pmf) = (0u32, pmf0s[l]);
+        while k < n && u >= pmf {
+            u -= pmf;
+            k += 1;
+            pmf *= r * (n - k + 1) as f64 / k as f64;
+        }
+        out[l] = if flip { n - k } else { k };
+    }
+    out
+}
+
+/// [`FaultEngine::advance_and_transient`] with its per-level binomials
+/// drawn by [`prefactor_binomial4`]: drift increments first, then the
+/// transient draw, in the engine's order.
+struct ReferenceRead {
+    model: std::sync::Arc<DriftModel>,
+    levels: usize,
+}
+
+impl ReferenceRead {
+    fn new(device: &DeviceConfig) -> Self {
+        Self {
+            model: device.drift_model_shared(),
+            levels: device.stack().num_levels(),
+        }
+    }
+
+    fn advance_and_transient(
+        &self,
+        line: &mut LineState,
+        now: SimTime,
+        rng: &mut StdRng,
+    ) -> (u32, u32) {
+        let levels = self.levels;
+        let mut p2s = [0.0f64; MAX_LEVELS];
+        let mut trs = [0.0f64; MAX_LEVELS];
+        self.model
+            .p_read_levels(line.age_at(now), &mut p2s[..levels], &mut trs[..levels]);
+        if now > line.last_eval {
+            let mut p1s = [0.0f64; MAX_LEVELS];
+            self.model
+                .p_up_levels(line.last_eval.since(line.last_write), &mut p1s[..levels]);
+            let mut ns = [0u32; MAX_LEVELS];
+            let mut dps = [0.0f64; MAX_LEVELS];
+            for lv in 0..levels {
+                let alive = line.occupancy[lv] - line.drift_failed[lv];
+                let (p1, p2) = (p1s[lv], p2s[lv]);
+                if alive == 0 || p2 <= p1 {
+                    continue;
+                }
+                ns[lv] = alive as u32;
+                dps[lv] = if p1 >= 1.0 {
+                    0.0
+                } else {
+                    ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
+                };
+            }
+            let ks = prefactor_binomial4(rng, ns, dps);
+            for (failed, &k) in line.drift_failed.iter_mut().zip(&ks) {
+                *failed += k as u16;
+            }
+            line.last_eval = now;
+        }
+        let mut ns = [0u32; MAX_LEVELS];
+        for (lv, n) in ns.iter_mut().enumerate().take(levels) {
+            *n = (line.occupancy[lv] - line.drift_failed[lv]) as u32;
+        }
+        let ks = prefactor_binomial4(rng, ns, trs);
+        (line.persistent_bit_errors(), ks.iter().sum())
+    }
+}
+
 /// A fingerprint of every outcome of a run plus the final generator state.
 type Run = (u64, [u64; 4]);
 
@@ -157,7 +289,7 @@ type Run = (u64, [u64; 4]);
 /// fixed seed.
 struct Kernel {
     name: &'static str,
-    table: Box<dyn FnMut(usize) -> Run>,
+    fast: Box<dyn FnMut(usize) -> Run>,
     reference: Box<dyn FnMut(usize) -> Run>,
 }
 
@@ -190,6 +322,33 @@ fn write_run(
         acc = fold(acc, line.worn_conflict_bits as u64);
         for &o in &line.occupancy {
             acc = fold(acc, o as u64);
+        }
+    }
+    (acc, rng.state())
+}
+
+/// Age of every read in the `read_288` kernel: one scrub interval.
+const READ_AGE_S: f64 = 900.0;
+
+/// Runs `calls` reads, cycling through the lines; each reads a copy of its
+/// freshly written line `READ_AGE_S` later, so every read is the same
+/// one-interval-old probe. Folds the error counts and the advanced drift
+/// state into the fingerprint.
+fn read_run(
+    calls: usize,
+    lines: &[LineState],
+    mut read: impl FnMut(&mut LineState, SimTime, &mut StdRng) -> (u32, u32),
+) -> Run {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut acc = 0u64;
+    let now = SimTime::from_secs(READ_AGE_S);
+    for i in 0..calls {
+        let mut line = lines[i % LINES];
+        let (persistent, transient) = read(&mut line, now, &mut rng);
+        acc = fold(acc, persistent as u64);
+        acc = fold(acc, transient as u64);
+        for &f in &line.drift_failed {
+            acc = fold(acc, f as u64);
         }
     }
     (acc, rng.state())
@@ -233,10 +392,14 @@ fn kernels() -> Vec<Kernel> {
     let secded = CodeSpec::secded_line();
     let secded_ref = secded.clone();
     let lines_ref = lines.clone();
+    let read_engine = engine.clone();
+    let read_ref = ReferenceRead::new(&device);
+    let read_lines = lines.clone();
+    let read_lines_ref = lines.clone();
     vec![
         Kernel {
             name: "on_write",
-            table: Box::new(move |calls| {
+            fast: Box::new(move |calls| {
                 write_run(calls, &lines, |l, t, r| engine.on_write(l, t, r))
             }),
             reference: Box::new(move |calls| {
@@ -245,7 +408,7 @@ fn kernels() -> Vec<Kernel> {
         },
         Kernel {
             name: "occupancy_288",
-            table: Box::new(move |calls| {
+            fast: Box::new(move |calls| {
                 occupancy_run(calls, |r, out| occupancy.sample_into(r, CELLS, out))
             }),
             reference: Box::new(move |calls| {
@@ -256,9 +419,22 @@ fn kernels() -> Vec<Kernel> {
         },
         Kernel {
             name: "secded_classify_3",
-            table: Box::new(move |calls| classify_run(calls, |r| secded.classify(3, r))),
+            fast: Box::new(move |calls| classify_run(calls, |r| secded.classify(3, r))),
             reference: Box::new(move |calls| {
                 classify_run(calls, |r| reference_classify(&secded_ref, 3, r))
+            }),
+        },
+        Kernel {
+            name: "read_288",
+            fast: Box::new(move |calls| {
+                read_run(calls, &read_lines, |l, t, r| {
+                    read_engine.advance_and_transient(l, t, r)
+                })
+            }),
+            reference: Box::new(move |calls| {
+                read_run(calls, &read_lines_ref, |l, t, r| {
+                    read_ref.advance_and_transient(l, t, r)
+                })
             }),
         },
     ]
@@ -269,8 +445,8 @@ const MICRO_CALLS: usize = 1000;
 
 fn bench_kernels_micro(c: &mut Criterion) {
     for mut k in kernels() {
-        c.bench_function(&format!("{}_x{MICRO_CALLS}_table", k.name), |b| {
-            b.iter(|| black_box((k.table)(MICRO_CALLS)))
+        c.bench_function(&format!("{}_x{MICRO_CALLS}_fast", k.name), |b| {
+            b.iter(|| black_box((k.fast)(MICRO_CALLS)))
         });
         c.bench_function(&format!("{}_x{MICRO_CALLS}_reference", k.name), |b| {
             b.iter(|| black_box((k.reference)(MICRO_CALLS)))
@@ -301,16 +477,16 @@ fn gate_and_record() {
     let mut failures = Vec::new();
     for mut k in kernels() {
         assert_eq!(
-            (k.table)(CALLS),
+            (k.fast)(CALLS),
             (k.reference)(CALLS),
-            "{}: table path and reference disagree",
+            "{}: fast path and reference disagree",
             k.name
         );
-        let table_ns = best_ns(&mut k.table);
+        let fast_ns = best_ns(&mut k.fast);
         let reference_ns = best_ns(&mut k.reference);
-        let speedup = reference_ns / table_ns;
+        let speedup = reference_ns / fast_ns;
         println!(
-            "[kernels] {}: table {table_ns:.1} ns/call, reference \
+            "[kernels] {}: fast {fast_ns:.1} ns/call, reference \
              {reference_ns:.1} ns/call ({speedup:.2}x); outcomes identical",
             k.name
         );
@@ -318,7 +494,7 @@ fn gate_and_record() {
             failures.push(format!("{} {speedup:.2}x", k.name));
         }
         entries.push(format!(
-            "    \"{}\": {{\n      \"table_ns\": {table_ns},\n      \
+            "    \"{}\": {{\n      \"fast_ns\": {fast_ns},\n      \
              \"reference_ns\": {reference_ns},\n      \"speedup\": {speedup}\n    }}",
             k.name
         ));
@@ -335,7 +511,7 @@ fn gate_and_record() {
     }
     assert!(
         failures.is_empty(),
-        "table kernels below the {KERNEL_SPEEDUP_FLOOR}x floor: {}",
+        "kernels below the {KERNEL_SPEEDUP_FLOOR}x floor: {}",
         failures.join(", ")
     );
 }

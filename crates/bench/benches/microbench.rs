@@ -101,6 +101,24 @@ fn bench_fault_engine(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // One scrub probe's read: a line written at 0 read one 900 s interval
+    // later (the `kernels` bench gates it as `read_288`).
+    c.bench_function("fault_engine_read_aged_900s", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let lines: Vec<_> = (0..4096)
+            .map(|_| engine.fresh_line(SimTime::ZERO, &mut rng))
+            .collect();
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            let mut line = lines[i % 4096];
+            std::hint::black_box(engine.advance_and_transient(
+                &mut line,
+                SimTime::from_secs(900.0),
+                &mut rng,
+            ))
+        })
+    });
 }
 
 /// The write path's three table-driven kernels, one call per iteration

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
-use pcm_model::math::{sample_binomial, sample_binomial4, PrecomputedMultinomial};
+use pcm_model::math::{sample_binomial, PrecomputedMultinomial};
 use pcm_model::{DeviceConfig, DriftModel, EnduranceSpec};
 
 use crate::line::{LineState, MAX_LEVELS};
@@ -264,25 +264,40 @@ impl FaultEngine {
             let mut p2s = [0.0f64; MAX_LEVELS];
             self.model.p_up_levels(age1, &mut p1s[..self.num_levels]);
             self.model.p_up_levels(age2, &mut p2s[..self.num_levels]);
-            for lv in 0..self.num_levels {
-                let alive = line.occupancy[lv] - line.drift_failed[lv];
-                if alive == 0 {
-                    continue;
-                }
-                let (p1, p2) = (p1s[lv], p2s[lv]);
-                if p2 <= p1 {
-                    continue;
-                }
-                let dp = if p1 >= 1.0 {
-                    0.0
-                } else {
-                    ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
-                };
-                line.drift_failed[lv] += sample_binomial(rng, alive as u32, dp) as u16;
-            }
+            self.draw_drift_increments(line, &p1s, &p2s, rng);
             line.last_eval = now;
         }
         line.persistent_bit_errors()
+    }
+
+    /// Draws each level's new drift failures between the last evaluation,
+    /// where a cell's crossing probability was `p1s[lv]`, and now
+    /// (`p2s[lv]`): a surviving cell crosses with the conditional increment
+    /// `(p2 − p1)/(1 − p1)`. Levels with no surviving cells or no increase
+    /// draw nothing.
+    fn draw_drift_increments<R: Rng + ?Sized>(
+        &self,
+        line: &mut LineState,
+        p1s: &[f64; MAX_LEVELS],
+        p2s: &[f64; MAX_LEVELS],
+        rng: &mut R,
+    ) {
+        for lv in 0..self.num_levels {
+            let alive = line.occupancy[lv] - line.drift_failed[lv];
+            if alive == 0 {
+                continue;
+            }
+            let (p1, p2) = (p1s[lv], p2s[lv]);
+            if p2 <= p1 {
+                continue;
+            }
+            let dp = if p1 >= 1.0 {
+                0.0
+            } else {
+                ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
+            };
+            line.drift_failed[lv] += sample_binomial(rng, alive as u32, dp) as u16;
+        }
     }
 
     /// Transient (sensing-noise) bit errors for one read at `now`.
@@ -333,39 +348,14 @@ impl FaultEngine {
             let age1 = line.last_eval.since(line.last_write);
             let mut p1s = [0.0f64; MAX_LEVELS];
             self.model.p_up_levels(age1, &mut p1s[..self.num_levels]);
-            // Batched draw: inactive lanes keep n = 0 / p = 0 and consume
-            // no uniforms, exactly like the skipped iterations of a scalar
-            // per-level loop.
-            let mut ns = [0u32; MAX_LEVELS];
-            let mut dps = [0.0f64; MAX_LEVELS];
-            for lv in 0..self.num_levels {
-                let alive = line.occupancy[lv] - line.drift_failed[lv];
-                if alive == 0 {
-                    continue;
-                }
-                let (p1, p2) = (p1s[lv], p2s[lv]);
-                if p2 <= p1 {
-                    continue;
-                }
-                ns[lv] = alive as u32;
-                dps[lv] = if p1 >= 1.0 {
-                    0.0
-                } else {
-                    ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
-                };
-            }
-            let ks = sample_binomial4(rng, ns, dps);
-            for (lv, &k) in ks.iter().enumerate().take(self.num_levels) {
-                line.drift_failed[lv] += k as u16;
-            }
+            self.draw_drift_increments(line, &p1s, &p2s, rng);
             line.last_eval = now;
         }
-        let mut ns = [0u32; MAX_LEVELS];
-        for (lv, n) in ns.iter_mut().enumerate().take(self.num_levels) {
-            *n = (line.occupancy[lv] - line.drift_failed[lv]) as u32;
+        let mut transient = 0;
+        for (lv, &p) in trs.iter().enumerate().take(self.num_levels) {
+            let alive = (line.occupancy[lv] - line.drift_failed[lv]) as u32;
+            transient += sample_binomial(rng, alive, p);
         }
-        let ks = sample_binomial4(rng, ns, trs);
-        let transient = ks.iter().sum();
         (line.persistent_bit_errors(), transient)
     }
 

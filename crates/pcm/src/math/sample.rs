@@ -160,8 +160,8 @@ fn powi_u32(mut x: f64, mut n: u32) -> f64 {
 
 /// Bottom-up CDF inversion of the uniform `u` for small means: start at
 /// `P(X=0) = qⁿ` and walk up with the PMF ratio recurrence. Expected
-/// `O(np + 1)` iterations, and the dominant zero outcome costs a single
-/// compare after `powi`.
+/// `O(np + 1)` iterations. The dominant zero outcome is usually settled
+/// by [`zero_squeeze`] alone, before `qⁿ` is computed.
 fn binomial_inv_bottom(u: f64, n: u32, p: f64) -> u32 {
     debug_assert!(p > 0.0 && p <= 0.5);
     let q = 1.0 - p;
@@ -171,14 +171,43 @@ fn binomial_inv_bottom(u: f64, n: u32, p: f64) -> u32 {
         // instead of walking a degenerate recurrence.
         return u32::from(u < n as f64 * p);
     }
+    if u < zero_squeeze(n, p) {
+        return 0;
+    }
     bottom_walk(n, p, powi_u32(q, n), inverter(u))
 }
 
-/// The bottom-up walk with the `qⁿ` prefactor supplied by the caller
-/// (who may have batched several prefactor computations; see
-/// [`sample_binomial4`]).
-fn binomial_inv_bottom_with<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64, pmf0: f64) -> u32 {
-    bottom_walk(n, p, pmf0, inverter(rng.gen()))
+/// A lower bound on the computed zero term `powi_u32(fl(1 − p), n)` for
+/// `0 < p ≤ ½`: any `u` below it lands in the zero outcome, exactly as
+/// the full walk would decide, so the walk can return 0 without
+/// computing `qⁿ`. Since the squeeze only ever answers what the walk
+/// would, outcomes and uniforms are unchanged.
+///
+/// Why it is a lower bound, writing `ε = f64::EPSILON = 2⁻⁵²`:
+///
+/// * Bernoulli's inequality gives `qⁿ ≥ 1 − n(1 − q)` for `q ∈ [0, 1]`.
+/// * `q = fl(1 − p)` lies in `[½, 1)`, where f64 spacing is `2⁻⁵³`, so
+///   `1 − q ≤ p + 2⁻⁵⁴`: rounding costs at most `2⁻⁵⁴ = ε/4` per trial.
+/// * [`powi_u32`]'s squaring chain doubles the relative error of the
+///   running square at each step and adds one rounding (`ε/2`) per
+///   multiply: the square `q^(2ʲ)` carries `2ʲ − 1` roundings, the
+///   accumulator one more per set bit of `n`, so to first order the
+///   result is within `n·ε/2` relative of `qⁿ`, and within
+///   `(n + 32)·ε` once higher-order terms are counted. As `qⁿ ≤ 1`,
+///   that is also an absolute bound.
+///
+/// Together the computed term is at least
+/// `1 − n·p − n·ε/4 − (n + 32)·ε`, and evaluating this bound in f64 adds
+/// a few `ε` more; the slack `8·(n + 64)·ε` covers all of it with a
+/// factor of several to spare. The uniforms the squeeze leaves to the
+/// full walk are those in the Bernoulli gap `qⁿ − (1 − n·p) ≈ (n·p)²/2`
+/// plus that slack (`6·10⁻¹³` at `n = 288`), so nearly every zero outcome
+/// is settled by the squeeze. For `n·p ≥ 1` the bound is negative and
+/// never fires.
+#[inline]
+fn zero_squeeze(n: u32, p: f64) -> f64 {
+    let n = n as f64;
+    1.0 - n * p - 8.0 * (n + 64.0) * f64::EPSILON
 }
 
 /// The CDF-inversion visitor for the walks below: accepts the visited
@@ -216,75 +245,6 @@ fn bottom_walk(n: u32, p: f64, pmf0: f64, mut visit: impl FnMut(f64) -> bool) ->
         k += 1;
         pmf *= r * (n - k + 1) as f64 / k as f64;
     }
-}
-
-/// Four `xᵅ` binary exponentiations at once. Each lane's multiply order
-/// matches [`powi_u32`] exactly (squarings past a lane's final bit never
-/// feed its accumulator), so results are bit-identical to four scalar
-/// calls — but the lanes' multiplies are data-independent, letting the
-/// per-line drift/transient draws pay one exponentiation latency instead
-/// of four.
-fn powi4(mut x: [f64; 4], n: [u32; 4]) -> [f64; 4] {
-    let mut r = [1.0f64; 4];
-    let mut bits = n;
-    // Branchless select (multiplying by 1.0 is exact for the finite
-    // probabilities in play) keeps the four lanes vectorizable.
-    while bits.iter().any(|&b| b > 0) {
-        for l in 0..4 {
-            let m = if bits[l] & 1 == 1 { x[l] } else { 1.0 };
-            r[l] *= m;
-            x[l] *= x[l];
-            bits[l] /= 2;
-        }
-    }
-    r
-}
-
-/// Draws up to four independent binomials — one read's per-level error
-/// draws — consuming uniforms lane by lane in index order. Outcome- and
-/// draw-identical to four sequential [`sample_binomial`] calls; the only
-/// difference is that the `qⁿ` prefactors of the small-mean lanes are
-/// computed as one batched exponentiation before any uniform is drawn.
-/// Lanes with `n = 0` or `p ≤ 0` consume nothing and yield 0, exactly as
-/// the scalar sampler does.
-pub fn sample_binomial4<R: Rng + ?Sized>(rng: &mut R, ns: [u32; 4], ps: [f64; 4]) -> [u32; 4] {
-    let mut qs = [1.0f64; 4];
-    let mut es = [0u32; 4];
-    let mut bottom = [false; 4];
-    for l in 0..4 {
-        let (n, p) = (ns[l], ps[l]);
-        if n == 0 || p <= 0.0 || p >= 1.0 {
-            continue;
-        }
-        let ps_small = if p <= 0.5 { p } else { 1.0 - p };
-        let q = 1.0 - ps_small;
-        if q != 1.0 && (n as f64 * ps_small < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N) {
-            bottom[l] = true;
-            qs[l] = q;
-            es[l] = n;
-        }
-    }
-    let pmf0s = powi4(qs, es);
-    let mut out = [0u32; 4];
-    for l in 0..4 {
-        out[l] = if bottom[l] {
-            let p = ps[l];
-            let (ps_small, flip) = if p <= 0.5 {
-                (p, false)
-            } else {
-                (1.0 - p, true)
-            };
-            let k = binomial_inv_bottom_with(rng, ns[l], ps_small, pmf0s[l]);
-            if flip {
-                ns[l] - k
-            } else {
-                k
-            }
-        } else {
-            sample_binomial(rng, ns[l], ps[l])
-        };
-    }
-    out
 }
 
 /// Mode-centred CDF inversion: evaluate the PMF at the mode via the
@@ -900,12 +860,113 @@ mod tests {
         }
     }
 
+    /// The binomial sampler as it stood before the zero squeeze: up to
+    /// four draws at once, every small-mean lane's `qⁿ` prefactor computed
+    /// by one batched exponentiation before any uniform is drawn, then the
+    /// bottom walk from it; other lanes take the mode walk or the
+    /// degenerate `q == 1` event. The squeezed [`sample_binomial`] must
+    /// match it draw for draw.
+    fn prefactor_binomial4(rng: &mut StdRng, ns: [u32; 4], ps: [f64; 4]) -> [u32; 4] {
+        /// Four `xⁿ` binary exponentiations, each lane in
+        /// [`powi_u32`]'s multiply order.
+        fn powi4(mut x: [f64; 4], n: [u32; 4]) -> [f64; 4] {
+            let mut r = [1.0f64; 4];
+            let mut bits = n;
+            while bits.iter().any(|&b| b > 0) {
+                for l in 0..4 {
+                    let m = if bits[l] & 1 == 1 { x[l] } else { 1.0 };
+                    r[l] *= m;
+                    x[l] *= x[l];
+                    bits[l] /= 2;
+                }
+            }
+            r
+        }
+        let tail = |p: f64| {
+            if p <= 0.5 {
+                (p, false)
+            } else {
+                (1.0 - p, true)
+            }
+        };
+        let active = |l: usize| ns[l] > 0 && ps[l] > 0.0 && ps[l] < 1.0;
+        let bottom = |l: usize| {
+            let (p, _) = tail(ps[l]);
+            active(l) && (ns[l] as f64 * p < BINOMIAL_MODE_CUTOFF || ns[l] as usize > LN_FACT_MAX_N)
+        };
+        let mut qs = [1.0f64; 4];
+        let mut es = [0u32; 4];
+        for l in (0..4).filter(|&l| bottom(l)) {
+            qs[l] = 1.0 - tail(ps[l]).0;
+            es[l] = ns[l];
+        }
+        let pmf0s = powi4(qs, es);
+        let mut out = [0u32; 4];
+        for l in 0..4 {
+            let n = ns[l];
+            if !active(l) {
+                out[l] = if ps[l] >= 1.0 { n } else { 0 };
+                continue;
+            }
+            let (p, flip) = tail(ps[l]);
+            let u: f64 = rng.gen();
+            let k = if !bottom(l) {
+                mode_walk(n, p, p.ln(), (1.0 - p).ln(), inverter(u))
+            } else if qs[l] == 1.0 {
+                u32::from(u < n as f64 * p)
+            } else {
+                bottom_walk(n, p, pmf0s[l], inverter(u))
+            };
+            out[l] = if flip { n - k } else { k };
+        }
+        out
+    }
+
+    /// Trial counts the squeeze is checked at: every `n` the ln-factorial
+    /// table covers, then past it (bottom walks at any mean).
+    fn squeeze_grid_ns() -> impl Iterator<Item = u32> {
+        (0..=4096u32).chain([4097, 8192, 1 << 20])
+    }
+
+    /// Success probabilities the squeeze is checked at: log-spaced over
+    /// `[1e-17, ½]` (the smallest below 2⁻⁵⁴, where `1 − p` rounds to 1);
+    /// fractions of a 2⁻⁵³ step past its multiples, where `fl(1 − p)`
+    /// rounds away from `1 − p` (in both directions); and all of them
+    /// reflected (`p > ½`, sampled through the flipped tail).
+    fn squeeze_grid_ps() -> Vec<f64> {
+        let (lo, hi) = (1e-17f64.log10(), 0.5f64.log10());
+        let mut ps: Vec<f64> = (0..=40)
+            .map(|i| 10f64.powf(lo + (hi - lo) * i as f64 / 40.0).min(0.5))
+            .collect();
+        let steps = [1u64, 2, 3, 7, 100].into_iter();
+        for k in steps.chain((10..=50).step_by(10).map(|b| 1u64 << b)) {
+            for f in [0.25, 0.5, 0.51, 0.75] {
+                ps.push((k as f64 + f) * f64::EPSILON / 2.0);
+            }
+        }
+        let flips: Vec<f64> = ps.iter().map(|p| 1.0 - p).collect();
+        ps.extend(flips);
+        ps
+    }
+
     #[test]
-    fn binomial4_matches_sequential_scalar_calls() {
-        // The batched sampler must be draw-identical to four sequential
-        // scalar calls: same outcomes AND the same RNG stream position
-        // afterwards, across every lane-classification mix (inactive,
-        // bottom-path, mode-path, degenerate-q, p>0.5 flips).
+    fn squeezed_sampler_matches_prefactor_reference_draw_for_draw() {
+        // One lane per call over the whole grid, outcomes and generator
+        // state compared after every call.
+        let ps = squeeze_grid_ps();
+        let mut a = StdRng::seed_from_u64(9100);
+        let mut b = StdRng::seed_from_u64(9100);
+        for n in squeeze_grid_ns() {
+            for &p in &ps {
+                let got = sample_binomial(&mut a, n, p);
+                let want = prefactor_binomial4(&mut b, [n, 0, 0, 0], [p, 0.0, 0.0, 0.0])[0];
+                assert_eq!(got, want, "n={n} p={p:e}");
+                assert_eq!(a.state(), b.state(), "n={n} p={p:e}: stream skew");
+            }
+        }
+        // Four lanes at once, one read's worth of per-level draws, across
+        // every lane-classification mix (inactive, bottom-path, mode-path,
+        // degenerate-q, p>0.5 flips), against four sequential calls.
         let cases: &[([u32; 4], [f64; 4])] = &[
             ([288, 288, 288, 288], [0.001, 0.02, 0.25, 0.9]),
             ([0, 288, 0, 5], [0.0, 1e-6, 0.3, 0.5]),
@@ -914,15 +975,31 @@ mod tests {
             ([1, 2, 3, 4], [0.9999, 0.0001, 0.7, 0.3]),
         ];
         for (i, &(ns, ps)) in cases.iter().enumerate() {
-            let mut a = StdRng::seed_from_u64(9000 + i as u64);
-            let mut b = StdRng::seed_from_u64(9000 + i as u64);
-            let batched = sample_binomial4(&mut a, ns, ps);
-            let mut scalar = [0u32; 4];
-            for l in 0..4 {
-                scalar[l] = sample_binomial(&mut b, ns[l], ps[l]);
+            for rep in 0..64 {
+                let want = prefactor_binomial4(&mut b, ns, ps);
+                let mut got = [0u32; 4];
+                for l in 0..4 {
+                    got[l] = sample_binomial(&mut a, ns[l], ps[l]);
+                }
+                assert_eq!(got, want, "case {i} rep {rep}: outcomes diverge");
+                assert_eq!(a.state(), b.state(), "case {i} rep {rep}: stream skew");
             }
-            assert_eq!(batched, scalar, "case {i}: outcomes diverge");
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {i}: stream skew");
+        }
+    }
+
+    #[test]
+    fn zero_squeeze_never_exceeds_the_computed_zero_term() {
+        // The squeeze may only answer what the walk would: it must sit at
+        // or below the zero term `qⁿ` the walk starts from, computed the
+        // walk's way, for the tail the sampler actually walks.
+        let ps = squeeze_grid_ps();
+        for n in squeeze_grid_ns() {
+            for &p in &ps {
+                let ps = if p <= 0.5 { p } else { 1.0 - p };
+                let pmf0 = powi_u32(1.0 - ps, n);
+                let bound = zero_squeeze(n, ps);
+                assert!(bound <= pmf0, "n={n} p={p:e}: {bound} > {pmf0}");
+            }
         }
     }
 
